@@ -12,7 +12,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-hotpaths baseline train-resume train-fused-smoke serve-smoke load-smoke proc-smoke obs-smoke retrieval-smoke concurrency-smoke
+.PHONY: lint test bench bench-smoke bench-hotpaths baseline train-resume train-dp-smoke serve-smoke load-smoke proc-smoke obs-smoke retrieval-smoke concurrency-smoke
 
 lint:
 	$(PYTHON) -m repro.lint src tests benchmarks examples
@@ -53,17 +53,18 @@ train-resume:
 		--checkpoint-dir .ckpt-smoke --resume
 	rm -rf .ckpt-smoke
 
-# Training-at-speed smoke: the fused + data-parallel execution path
-# must train end to end and stay bit-identical to the serial eager
-# loop.  The differential subset proves the bits; the CLI run proves
-# the flags wire through.  Hard wall-clock timeouts so a barrier
-# regression cannot hang CI.
-train-fused-smoke:
+# Training-at-speed smoke: data-parallel training must run end to end
+# and stay bit-identical to the serial loop, and the single-node loss
+# ops must carry the bits of their primitive-chain references.  The
+# differential subset proves the bits; the CLI run proves the flags
+# wire through.  Hard wall-clock timeouts so a barrier regression
+# cannot hang CI.
+train-dp-smoke:
 	timeout 600 $(PYTHON) -m pytest -q \
 		tests/nn/test_fusion_diff.py tests/train/test_dp_equivalence.py
 	timeout 120 $(PYTHON) -m repro run --dataset hetrec-del \
 		--method BPRMF --scale 0.02 --epochs 2 --batch-size 256 \
-		--fused --dp-workers 2
+		--dp-workers 2
 
 # Serving smoke: train a tiny model, answer a request stream with crash
 # and latency chaos injected mid-run, and fail unless every request was

@@ -27,7 +27,6 @@ import json
 import os
 import time
 import warnings
-import zipfile
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
@@ -59,7 +58,7 @@ def read_checkpoint(path: str) -> Any:
         with open(path, "rb") as handle:
             data = handle.read()
         return decode_state(data)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as err:
+    except (OSError, ValueError) as err:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {err}") from err
 
 
@@ -125,7 +124,9 @@ class CheckpointManager:
         try:
             with open(self.manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
-            if not isinstance(manifest.get("checkpoints"), list):
+            if not isinstance(manifest, dict) or not isinstance(
+                manifest.get("checkpoints"), list
+            ):
                 raise ValueError("manifest has no checkpoint list")
             return manifest
         except (OSError, ValueError) as err:
@@ -146,11 +147,11 @@ class CheckpointManager:
             if not name.endswith(".npz"):
                 continue
             path = os.path.join(self.directory, name)
-            with open(path, "rb") as handle:
-                data = handle.read()
             try:
+                with open(path, "rb") as handle:
+                    data = handle.read()
                 state = decode_state(data)
-            except (ValueError, KeyError, zipfile.BadZipFile) as err:
+            except (OSError, ValueError) as err:
                 warnings.warn(
                     f"skipping unreadable checkpoint {path!r} during "
                     f"manifest rebuild: {err}",
@@ -275,7 +276,7 @@ class CheckpointManager:
                         continue
                     try:
                         state = decode_state(data)
-                    except (ValueError, KeyError, zipfile.BadZipFile) as err:
+                    except ValueError as err:
                         span.set_attribute("outcome", "undecodable")
                         warnings.warn(
                             f"checkpoint {path!r} undecodable ({err}); "

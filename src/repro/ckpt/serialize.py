@@ -16,6 +16,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import lzma
+import zipfile
+import zlib
 from dataclasses import asdict, is_dataclass
 from typing import Any, Dict
 
@@ -30,10 +33,10 @@ FORMAT_VERSION = 1
 #: Config fields that never affect the optimisation trajectory and are
 #: therefore excluded from :func:`config_fingerprint` (a resumed run may
 #: legitimately extend the epoch budget or toggle logging/checkpointing).
-#: The execution-mode fields (``fused``, ``dp_workers``, ``dp_backend``)
-#: are volatile by design: fused kernels are bit-identical to the eager
-#: tape and data-parallel epochs adopt worker-0 state at the boundary,
-#: so a snapshot written in any mode resumes into any other.
+#: The data-parallel fields (``dp_workers``, ``dp_backend``) are
+#: volatile by design: data-parallel epochs adopt worker-0 state at the
+#: boundary, so a snapshot written serially or data-parallel resumes
+#: into either.
 VOLATILE_CONFIG_FIELDS = frozenset(
     {
         "epochs",
@@ -42,7 +45,6 @@ VOLATILE_CONFIG_FIELDS = frozenset(
         "checkpoint_every",
         "keep_last",
         "resume_from",
-        "fused",
         "dp_workers",
         "dp_backend",
     }
@@ -103,17 +105,52 @@ def encode_state(state: Any) -> bytes:
     return buffer.getvalue()
 
 
+#: What the zip, npy and JSON layers raise on a malformed payload besides
+#: ``ValueError``, as found by fuzzing truncated, bit-flipped and random
+#: payloads: a broken archive directory, corrupt deflate/bz2/lzma streams
+#: (bz2 reports ``OSError``), an entry the structure document names but
+#: the archive lacks, archive flags zipfile refuses (encryption, unknown
+#: compression: ``RuntimeError``/``NotImplementedError``), and a structure
+#: document of the wrong shape (``TypeError``/``AttributeError``).
+_MALFORMED_PAYLOAD = (
+    zipfile.BadZipFile,
+    zlib.error,
+    lzma.LZMAError,
+    OSError,
+    EOFError,
+    KeyError,
+    TypeError,
+    AttributeError,
+    RuntimeError,
+)
+
+
 def decode_state(data: bytes) -> Any:
-    """Invert :func:`encode_state`; raises ``ValueError`` on bad payloads."""
-    with np.load(io.BytesIO(data)) as archive:
-        if TREE_KEY not in archive.files:
-            raise ValueError("not a repro checkpoint: missing structure document")
-        document = json.loads(bytes(archive[TREE_KEY].tobytes()).decode("utf-8"))
-        if document.get("version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint format version {document.get('version')!r}"
+    """Invert :func:`encode_state`.
+
+    Raises:
+        ValueError: for every malformed payload, whatever layer notices
+            it; the original error is chained as ``__cause__``.
+    """
+    try:
+        with np.load(io.BytesIO(data)) as archive:
+            if TREE_KEY not in archive.files:
+                raise ValueError(
+                    "not a repro checkpoint: missing structure document"
+                )
+            document = json.loads(
+                bytes(archive[TREE_KEY].tobytes()).decode("utf-8")
             )
-        return _decode(document["tree"], archive)
+            if document.get("version") != FORMAT_VERSION:
+                raise ValueError(
+                    "unsupported checkpoint format version "
+                    f"{document.get('version')!r}"
+                )
+            return _decode(document["tree"], archive)
+    except _MALFORMED_PAYLOAD as err:
+        raise ValueError(
+            f"malformed checkpoint payload ({type(err).__name__}: {err})"
+        ) from err
 
 
 def checksum(data: bytes) -> str:

@@ -60,11 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
              "file/directory",
     )
     run.add_argument(
-        "--fused", action="store_true",
-        help="run training under the fused autograd kernels "
-             "(repro.nn.fusion; bit-identical to the eager tape)",
-    )
-    run.add_argument(
         "--dp-workers", type=int, default=0, metavar="W",
         help="data-parallel training workers (repro.train.parallel); "
              "0 keeps the serial loop",
@@ -125,7 +120,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         checkpoint_every=args.checkpoint_every,
         keep_last=args.keep_last,
         resume_from=args.resume,
-        fused=args.fused,
         dp_workers=args.dp_workers,
         dp_backend=args.dp_backend,
     )

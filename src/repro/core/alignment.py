@@ -25,9 +25,8 @@ import numpy as np
 
 from ..nn import Linear, Module, ProjectionHead, Tensor
 from ..nn import functional as F
-from ..nn import fusion
 from .config import IMCATConfig
-from .intents import intent_view, validate_intent_dims
+from .intents import validate_intent_dims
 
 
 class UserAggregator:
@@ -337,55 +336,6 @@ class IntentAlignment(Module):
                 self._predictors.append(predictor)
 
     # ------------------------------------------------------------------
-    # view construction
-    # ------------------------------------------------------------------
-    def item_tag_view(
-        self,
-        intent: int,
-        item_embeddings: Tensor,
-        tag_aggregation: Tensor,
-        has_tags: np.ndarray,
-    ) -> Tensor:
-        """Build ``z̄^k`` for one intent (Section IV.B.2).
-
-        Args:
-            intent: intent index ``k``.
-            item_embeddings: ``(B, d)`` item final representations.
-            tag_aggregation: ``(B, d)`` rows of ``t̄^k`` for this intent.
-            has_tags: ``(B,)`` bool — items with no cluster-k tag keep a
-                zero tag component rather than an L2-normalised garbage
-                direction.
-        """
-        config = self.config
-        components = []
-        if config.align_tag:
-            projected = self._tag_projections[intent](tag_aggregation)
-            normalized = F.l2_normalize(projected)
-            mask = has_tags.astype(np.float64)[:, None]
-            components.append(F.scale_rows(normalized, mask))
-        if config.align_item:
-            item_sub = intent_view(
-                item_embeddings, intent, config.num_intents,
-                dim=self.intent_dim,
-            )
-            components.append(F.l2_normalize(item_sub))
-        if not components:
-            raise ValueError(
-                "at least one of align_tag/align_item must be enabled "
-                "when the alignment loss is active"
-            )
-        total = components[0]
-        for part in components[1:]:
-            total = total + part
-        return total
-
-    def project(self, intent: int, view: Tensor) -> Tensor:
-        """Apply the per-intent non-linear head (Eq. 14) if enabled."""
-        if not self.config.use_nlt:
-            return view
-        return self._heads[intent](view)
-
-    # ------------------------------------------------------------------
     # loss
     # ------------------------------------------------------------------
     def alignment_loss(
@@ -398,6 +348,12 @@ class IntentAlignment(Module):
         positive_masks: Optional[Sequence[Optional[np.ndarray]]] = None,
     ) -> Tensor:
         """``L_CA`` / ``L_CA*`` over one item batch (Eqs. 11-13, 16-17).
+
+        Both views are built for all ``K`` intents at once as
+        ``(K, B, ·)`` stacks; the per-intent tag projections (Eq. 10) and
+        projection heads (Eq. 14) each run as one
+        :func:`repro.nn.functional.batched_linear` over the per-intent
+        ``Linear`` parameters.
 
         Args:
             item_batch: ``(B,)`` item indices (defines in-batch negatives).
@@ -422,88 +378,19 @@ class IntentAlignment(Module):
             if config.use_relatedness
             else np.ones((batch_size, k_count)) / k_count
         )
-        if (
-            fusion.is_fused()
-            and config.alignment_objective != "byol"
-            and batch_size > 0
-        ):
-            return self._alignment_loss_fused(
-                batch_size,
-                user_aggregation,
-                item_embeddings,
-                tag_aggregation_all,
-                tag_counts,
-                weights,
-                positive_masks,
-            )
-        total = None
-        for k in range(k_count):
-            rows = np.arange(batch_size) * k_count + k
-            tag_agg = tag_aggregation_all[rows]
-            has_tags = tag_counts[:, k] > 0
-            u_view = intent_view(
-                user_aggregation, k, k_count, dim=self.intent_dim
-            )
-            z_view = self.item_tag_view(k, item_embeddings, tag_agg, has_tags)
-            # The paper maximises *cosine* similarity (Section IV.B.2),
-            # so both projected views are L2-normalised before the logits.
-            u_proj = F.l2_normalize(self.project(k, u_view))
-            z_proj = F.l2_normalize(self.project(k, z_view))
-            mask = positive_masks[k] if positive_masks is not None else None
-            row_w = weights[:, k]
-            if config.alignment_objective == "byol":
-                term = self._byol_term(k, u_proj, z_proj, row_w)
-            else:
-                # Bidirectional InfoNCE (Eq. 11): u2it uses u as query,
-                # it2u uses z as query; the mask transposes accordingly.
-                u2it = F.info_nce(
-                    u_proj, z_proj, config.tau,
-                    row_weights=row_w, positive_mask=mask,
-                )
-                it2u = F.info_nce(
-                    z_proj,
-                    u_proj,
-                    config.tau,
-                    row_weights=row_w,
-                    positive_mask=mask.T if mask is not None else None,
-                )
-                term = u2it + it2u
-            total = term if total is None else total + term
-        return total * (1.0 / (2.0 * k_count * max(batch_size, 1)))
-
-    def _alignment_loss_fused(
-        self,
-        batch_size: int,
-        user_aggregation: Tensor,
-        item_embeddings: Tensor,
-        tag_aggregation_all: Tensor,
-        tag_counts: np.ndarray,
-        weights: np.ndarray,
-        positive_masks: Optional[Sequence[Optional[np.ndarray]]],
-    ) -> Tensor:
-        """Eqs. (10)-(14) with the K per-intent projections batched.
-
-        The per-intent tag projections and both projection-head layers
-        run as single block-diagonal :func:`repro.nn.fusion.batched_linear`
-        matmuls over ``(K, B, ·)`` stacks instead of K separate Linear
-        calls; normalisation, masking and the per-intent InfoNCE terms
-        operate on the exact same per-slice values, so the loss and every
-        parameter gradient are bit-identical to the eager per-``k`` loop.
-        """
-        config = self.config
-        k_count = config.num_intents
         dim = self.intent_dim
 
         def heads(stacked: Tensor) -> Tensor:
+            """Eq. (14) for every intent at once (identity without NLT)."""
             if not config.use_nlt:
                 return stacked
-            hidden = fusion.batched_linear(
+            hidden = F.batched_linear(
                 stacked,
                 [head.fc1.weight for head in self._heads],
                 [head.fc1.bias for head in self._heads],
             ).leaky_relu()
-            return fusion.batched_linear(
-                hidden, [head.fc2.weight for head in self._heads], None
+            return F.batched_linear(
+                hidden, [head.fc2.weight for head in self._heads]
             )
 
         # (B, K*dim) -> (K, B, dim): stack[k] is exactly intent_view(·, k).
@@ -512,15 +399,17 @@ class IntentAlignment(Module):
         ).transpose(1, 0, 2)
         components = []
         if config.align_tag:
-            # (B*K, d) -> (K, B, d): stack[k] rows are tag_agg for intent k.
+            # (B*K, d) -> (K, B, d): stack[k] rows are t̄^k of the batch.
             tag_stacked = tag_aggregation_all.reshape(
                 batch_size, k_count, self.embed_dim
             ).transpose(1, 0, 2)
-            projected = fusion.batched_linear(
+            projected = F.batched_linear(
                 tag_stacked,
                 [proj.weight for proj in self._tag_projections],
                 [proj.bias for proj in self._tag_projections],
             )
+            # Items with no cluster-k tag keep a zero tag component
+            # rather than an L2-normalised garbage direction.
             has_tags = (tag_counts.T > 0).astype(np.float64)[:, :, None]
             components.append(
                 F.scale_rows(F.l2_normalize(projected), has_tags)
@@ -538,25 +427,32 @@ class IntentAlignment(Module):
         z_stacked = components[0]
         for part in components[1:]:
             z_stacked = z_stacked + part
+        # The paper maximises *cosine* similarity (Section IV.B.2), so
+        # both projected views are L2-normalised before the logits.
         u_proj = F.l2_normalize(heads(u_stacked))
         z_proj = F.l2_normalize(heads(z_stacked))
         total = None
         for k in range(k_count):
-            mask = positive_masks[k] if positive_masks is not None else None
-            row_w = weights[:, k]
             u_p = u_proj[k]
             z_p = z_proj[k]
-            u2it = F.info_nce(
-                u_p, z_p, config.tau, row_weights=row_w, positive_mask=mask
-            )
-            it2u = F.info_nce(
-                z_p,
-                u_p,
-                config.tau,
-                row_weights=row_w,
-                positive_mask=mask.T if mask is not None else None,
-            )
-            term = u2it + it2u
+            row_w = weights[:, k]
+            if config.alignment_objective == "byol":
+                term = self._byol_term(k, u_p, z_p, row_w)
+            else:
+                # Bidirectional InfoNCE (Eq. 11): u2it uses u as query,
+                # it2u uses z as query; the mask transposes accordingly.
+                mask = positive_masks[k] if positive_masks is not None else None
+                u2it = F.info_nce(
+                    u_p, z_p, config.tau, row_weights=row_w, positive_mask=mask
+                )
+                it2u = F.info_nce(
+                    z_p,
+                    u_p,
+                    config.tau,
+                    row_weights=row_w,
+                    positive_mask=mask.T if mask is not None else None,
+                )
+                term = u2it + it2u
             total = term if total is None else total + term
         return total * (1.0 / (2.0 * k_count * max(batch_size, 1)))
 

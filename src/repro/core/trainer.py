@@ -40,7 +40,7 @@ from ..data.sampling import (
 )
 from ..data.split import Split
 from ..eval.evaluator import Evaluator
-from ..nn import Adam, detect_anomaly, fusion
+from ..nn import Adam, detect_anomaly
 from ..perf import CounterRegistry, PerfReport, StopwatchRegistry
 from ..train.parallel import DataParallelEngine, DataParallelTask, shard_bounds
 from .config import IMCATConfig
@@ -77,10 +77,6 @@ class IMCATTrainConfig:
     """``"auto"`` resumes from the newest valid snapshot under
     ``checkpoint_dir`` (fresh start when there is none); a path loads
     that checkpoint file or directory explicitly."""
-    fused: bool = False
-    """Run the loss under :func:`repro.nn.fusion.fused_mode`: the BPR
-    tails, InfoNCE blocks, and per-intent projection fans execute as
-    single fused kernels, bit-identical to the eager tape."""
     dp_workers: int = 0
     """Data-parallel worker count; ``0`` keeps the serial loop.  With
     ``1`` worker the run is bit-identical to serial (see
@@ -302,9 +298,7 @@ class IMCATTrainer:
         raises :class:`repro.nn.NumericAnomalyError` naming the
         creating op and its parent shapes.
         """
-        with detect_anomaly(self.config.detect_anomaly), fusion.fused_mode(
-            self.config.fused
-        ):
+        with detect_anomaly(self.config.detect_anomaly):
             return self._fit()
 
     def _fit(self) -> IMCATTrainResult:
@@ -582,8 +576,6 @@ class IMCATTrainer:
                                 metric=record.get(metric_key),
                             )
                         counters.add("checkpoints")
-                if config.fused:
-                    fusion.record_metrics(metrics)
                 metrics.histogram("trainer.epoch_seconds").observe(
                     time.perf_counter() - epoch_start
                 )

@@ -21,7 +21,6 @@ from ..data.dataset import TagRecDataset
 from ..data.sampling import TripletBatch
 from ..nn import Embedding, Module, Tensor, no_grad
 from ..nn import functional as F
-from ..nn import fusion
 
 
 class Recommender(Module):
@@ -113,23 +112,7 @@ class Recommender(Module):
         return (u * v).sum(axis=1)
 
     def bpr_loss(self, batch: TripletBatch) -> Tensor:
-        """Pairwise ranking loss (Eq. 1) on a triplet batch.
-
-        When fused execution is on and the model uses the default
-        inner-product scorer over raw embedding tables, the whole step
-        (lookups, dot products, loss tail) runs as one fused kernel —
-        bit-identical to the eager chain.
-        """
-        if fusion.is_fused() and type(self).pair_scores is Recommender.pair_scores:
-            fused = fusion.dot_bpr(
-                self.user_repr(),
-                self.item_repr(),
-                batch.anchors,
-                batch.positives,
-                batch.negatives,
-            )
-            if fused is not None:
-                return fused
+        """Pairwise ranking loss (Eq. 1) on a triplet batch."""
         pos = self.pair_scores(batch.anchors, batch.positives)
         neg = self.pair_scores(batch.anchors, batch.negatives)
         return F.bpr_loss(pos, neg)
@@ -201,19 +184,6 @@ class TagAwareRecommender(Recommender):
 
     def tag_bpr_loss(self, batch: TripletBatch) -> Tensor:
         """Item-tag ranking loss ``L_VT`` (Eq. 2)."""
-        if (
-            fusion.is_fused()
-            and type(self).tag_pair_scores is TagAwareRecommender.tag_pair_scores
-        ):
-            fused = fusion.dot_bpr(
-                self.item_repr(),
-                self.tag_repr(),
-                batch.anchors,
-                batch.positives,
-                batch.negatives,
-            )
-            if fused is not None:
-                return fused
         pos = self.tag_pair_scores(batch.anchors, batch.positives)
         neg = self.tag_pair_scores(batch.anchors, batch.negatives)
         return F.bpr_loss(pos, neg)

@@ -29,7 +29,6 @@ from ..data.sampling import BPRSampler, TripletBatch
 from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, CosineAnnealing, StepDecay, clip_grad_norm, detect_anomaly
-from ..nn import fusion
 from ..train.parallel import DataParallelEngine, DataParallelTask, shard_bounds
 from .base import Recommender
 
@@ -68,10 +67,6 @@ class TrainConfig:
     """``"auto"`` resumes from the newest valid snapshot under
     ``checkpoint_dir`` (fresh start when there is none); a path loads
     that checkpoint file or directory explicitly."""
-    fused: bool = False
-    """Run the loss under :func:`repro.nn.fusion.fused_mode`: elementwise
-    chains and per-intent projections execute as single fused kernels,
-    bit-identical to the eager tape."""
     dp_workers: int = 0
     """Data-parallel worker count; ``0`` keeps the serial loop.  With
     ``1`` worker the run is bit-identical to serial (see
@@ -122,7 +117,7 @@ def fit_bpr(
     sanitizer (see :class:`repro.nn.detect_anomaly`).
     """
     config = config or TrainConfig()
-    with detect_anomaly(config.detect_anomaly), fusion.fused_mode(config.fused):
+    with detect_anomaly(config.detect_anomaly):
         return _fit_bpr(model, split, config, evaluator)
 
 
@@ -408,8 +403,6 @@ def _fit_bpr(
                 epoch_span.set_attributes(
                     loss=record["loss"], steps=num_batches
                 )
-            if config.fused:
-                fusion.record_metrics(metrics)
             history.append(record)
             if stop_early:
                 break

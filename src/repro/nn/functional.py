@@ -3,16 +3,19 @@
 These are the composite operations the IMCAT model relies on: stable
 softmax / log-softmax, L2 normalisation, embedding lookup with
 scatter-add gradients, segment means for per-item aggregation, dropout,
-and the loss primitives (logsigmoid for BPR, InfoNCE building blocks).
+and the training hot path of Eq. (18) as single-node ops — the BPR loss,
+the InfoNCE block, and the K per-intent projections batched into one
+matmul.  Each of those records one tape node that runs the NumPy
+operations of the primitive chain it stands for, in the same order, so
+it carries that chain's bits.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from . import fusion
 from .tensor import Tensor, as_tensor
 
 
@@ -249,17 +252,67 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
     """Bayesian Personalized Ranking loss (Eq. 1 / Eq. 2).
 
-    ``-mean(log sigmoid(pos - neg))`` over the batch.
+    ``-mean(log sigmoid(pos - neg))`` over the batch, recorded as one
+    tape node.  Forward and backward run the NumPy operations of the
+    primitive chain ``-log_sigmoid(pos - neg).mean()`` in the same order
+    and dtypes, so loss and gradients carry the same bits as that chain.
 
-    Under :func:`repro.nn.fusion.fused_mode` the whole chain runs as one
-    fused kernel; the result is bit-identical to the eager path.
+    Raises:
+        ValueError: if the score arrays differ in shape or are empty.
     """
-    pos_scores = as_tensor(pos_scores)
-    neg_scores = as_tensor(neg_scores)
-    fused = fusion.elementwise_bpr(pos_scores, neg_scores)
-    if fused is not None:
-        return fused
-    return -log_sigmoid(pos_scores - neg_scores).mean()
+    pos = as_tensor(pos_scores)
+    neg = as_tensor(neg_scores)
+    if pos.shape != neg.shape:
+        raise ValueError(
+            f"bpr_loss needs matching score shapes, got {pos.shape} "
+            f"and {neg.shape}"
+        )
+    if pos.size == 0:
+        raise ValueError("bpr_loss needs at least one score pair")
+    inv = 1.0 / pos.size
+    d = pos.data + (-neg.data)
+    # log_sigmoid(d) = min(d, 0) - log1p(exp(-|d|)); its backward needs
+    # sigmoid(d), taken at forward time like F.log_sigmoid does.
+    log_sig = np.minimum(d, 0.0) - np.log1p(np.exp(-np.abs(d)))
+    sig = 1.0 / (1.0 + np.exp(-np.clip(d, -500, 500)))
+    # The chain's sum becomes a float64 tensor before the mean's scale.
+    out_data = np.asarray(-(np.float64(log_sig.sum()) * inv))
+
+    def backward(g: np.ndarray) -> None:
+        grad_d = np.asarray((-g) * inv, dtype=log_sig.dtype) * (1.0 - sig)
+        if pos.requires_grad:
+            pos._accumulate(grad_d)
+        if neg.requires_grad:
+            neg._accumulate(-grad_d)
+
+    return Tensor._make(out_data, (pos, neg), backward)
+
+
+def nce_weights(
+    n: int,
+    positive_mask: Optional[np.ndarray],
+    row_weights: Optional[np.ndarray],
+) -> np.ndarray:
+    """The constant ``(n, n)`` positive-set weight matrix of Eq. (17).
+
+    Row ``j`` spreads weight ``1 / |P_j|`` over its positives ``P_j``
+    (the self-pair always included), scaled by ``row_weights[j]``.
+    """
+    if positive_mask is None:
+        positive_mask = np.eye(n, dtype=bool)
+    else:
+        positive_mask = np.asarray(positive_mask, dtype=bool)
+        if positive_mask.shape != (n, n):
+            raise ValueError(
+                f"positive_mask shape {positive_mask.shape} != ({n}, {n})"
+            )
+        # Ensure the self-pair is always a positive.
+        positive_mask = positive_mask | np.eye(n, dtype=bool)
+    pos_counts = positive_mask.sum(axis=1).astype(np.float64)
+    weights = positive_mask.astype(np.float64) / pos_counts[:, None]
+    if row_weights is not None:
+        weights = weights * np.asarray(row_weights, dtype=np.float64)[:, None]
+    return weights
 
 
 def info_nce(
@@ -276,6 +329,12 @@ def info_nce(
     (used by the ISA module, Eq. 17 — the loss averages over all marked
     positives per row).  All other columns act as in-batch negatives.
 
+    The whole block is one tape node running the NumPy operations of the
+    primitive chain ``-(log_softmax((q @ k.T) * (1 / tau)) * W).sum()``
+    in the same order and dtypes, so it carries that chain's bits.
+    ``queries`` and ``keys`` may be the same tensor; its gradient then
+    receives both contributions.
+
     Args:
         queries: ``(n, d)`` tensor.
         keys: ``(n, d)`` tensor.
@@ -290,23 +349,90 @@ def info_nce(
     Raises:
         ValueError: if ``temperature`` is not strictly positive — a
             zero/negative tau silently flips or explodes the softmax,
-            the classic source of NaN collapse in contrastive stacks.
+            the classic source of NaN collapse in contrastive stacks —
+            or if the inputs are not two equal-shape, non-empty
+            ``(n, d)`` matrices.
     """
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
     queries = as_tensor(queries)
     keys = as_tensor(keys)
-    fused = fusion.contrastive_info_nce(
-        queries, keys, temperature, row_weights, positive_mask
-    )
-    if fused is not None:
-        return fused
-    logits = (queries @ keys.T) * (1.0 / temperature)
-    log_probs = log_softmax(logits, axis=1)
-    n = logits.shape[0]
-    # Average log-prob over each row's positive set (Eq. 17 outer mean);
-    # the weight matrix is shared with the fused kernel so mask handling
-    # cannot drift between the two paths.
-    weights = fusion.nce_weights(n, positive_mask, row_weights)
-    picked = log_probs * Tensor(weights)
-    return -picked.sum()
+    if queries.ndim != 2 or keys.shape != queries.shape:
+        raise ValueError(
+            f"info_nce needs two (n, d) matrices of one shape, got "
+            f"{queries.shape} and {keys.shape}"
+        )
+    n = queries.shape[0]
+    if n == 0:
+        raise ValueError("info_nce needs at least one row")
+    inv_tau = np.asarray(1.0 / temperature)
+    raw = queries.data @ keys.data.transpose(1, 0)
+    logits = raw * inv_tau
+    # log_softmax(axis=1), max-shifted exactly like F.log_softmax.
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    soft = np.exp(log_probs)
+    # Average log-prob over each row's positive set (Eq. 17 outer mean).
+    weights = nce_weights(n, positive_mask, row_weights)
+    out_data = np.asarray(-((log_probs * weights).sum()))
+
+    def backward(g: np.ndarray) -> None:
+        grad_lp = weights * (-g)
+        grad_logits = grad_lp - soft * grad_lp.sum(axis=1, keepdims=True)
+        grad_raw = np.asarray(grad_logits * inv_tau, dtype=raw.dtype)
+        if queries.requires_grad:
+            queries._accumulate(grad_raw @ keys.data)
+        if keys.requires_grad:
+            keys._accumulate(
+                (queries.data.transpose(1, 0) @ grad_raw).transpose(1, 0)
+            )
+
+    return Tensor._make(out_data, (queries, keys), backward)
+
+
+def batched_linear(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    biases: Optional[Sequence[Tensor]] = None,
+) -> Tensor:
+    """``K`` affine maps ``x[k] @ weights[k].T + biases[k]`` as one op.
+
+    The per-intent projections of Eqs. (10) and (14) in one ``(K, B, d)``
+    batched matmul.  Each slice runs the same product as the ``Linear``
+    call ``x[k] @ W_k.T (+ b_k)``, and each parameter gets exactly one
+    gradient contribution, so outputs and gradients carry the bits of
+    the K separate calls.
+
+    Args:
+        x: ``(K, B, d_in)`` stacked per-intent inputs.
+        weights: K weight tensors of shape ``(d_out, d_in)``.
+        biases: optional K bias tensors of shape ``(d_out,)``.
+    """
+    x = as_tensor(x)
+    if x.ndim != 3 or x.shape[0] != len(weights):
+        raise ValueError(
+            f"batched_linear needs a (K, B, d_in) input for {len(weights)} "
+            f"weights, got shape {x.shape}"
+        )
+    w_stack = np.stack([w.data for w in weights])
+    # The transpose must stay a strided view: Linear multiplies by the
+    # view ``weight.T``, and BLAS on a contiguous copy may round apart.
+    out_data = np.matmul(x.data, w_stack.swapaxes(1, 2))
+    if biases is not None:
+        for i, b in enumerate(biases):
+            np.add(out_data[i], b.data, out=out_data[i])
+
+    def backward(g: np.ndarray) -> None:
+        if biases is not None:
+            for i, b in enumerate(biases):
+                if b.requires_grad:
+                    b._accumulate(g[i].sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(np.matmul(g, w_stack))
+        grad_w = np.matmul(np.swapaxes(x.data, -1, -2), g)
+        for i, w in enumerate(weights):
+            if w.requires_grad:
+                w._accumulate(grad_w[i].transpose(1, 0))
+
+    parents = (x, *weights) + (tuple(biases) if biases is not None else ())
+    return Tensor._make(out_data, parents, backward)

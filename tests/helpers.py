@@ -1,12 +1,19 @@
-"""Shared test utilities: numerical gradient checking and tiny datasets."""
+"""Shared test utilities: numerical gradient checking, tiny datasets,
+and primitive-chain references for the single-node loss ops."""
 
 from __future__ import annotations
 
-from typing import Callable
+import contextlib
+from typing import Callable, Optional, Sequence
 
 import numpy as np
+import pytest
 
+from repro.core import intent_view
+from repro.core.alignment import IntentAlignment, relatedness_weights
 from repro.data import TagRecDataset
+from repro.nn import Tensor, stack
+from repro.nn import functional as F
 
 
 def numerical_gradient(
@@ -14,7 +21,7 @@ def numerical_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of ``func`` w.r.t. ``array`` in place."""
     grad = np.zeros_like(array)
-    iterator = np.nditer(array, flags=["multi_index"])
+    iterator = np.nditer(array, flags=["multi_index", "zerosize_ok"])
     while not iterator.finished:
         index = iterator.multi_index
         original = array[index]
@@ -68,3 +75,125 @@ def tiny_dataset(seed: int = 0) -> TagRecDataset:
         tag_ids=np.array([0, 1, 0, 2, 3, 3, 4, 1]),
         name="tiny",
     )
+
+
+# ----------------------------------------------------------------------
+# primitive-chain references: ``F.bpr_loss``, ``F.info_nce`` and
+# ``F.batched_linear`` must carry exactly these chains' bits
+# ----------------------------------------------------------------------
+def reference_bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
+    """``-mean(log sigmoid(pos - neg))`` as six primitive tape nodes."""
+    return -F.log_sigmoid(pos_scores - neg_scores).mean()
+
+
+def reference_info_nce(
+    queries: Tensor,
+    keys: Tensor,
+    temperature: float,
+    row_weights: Optional[np.ndarray] = None,
+    positive_mask: Optional[np.ndarray] = None,
+) -> Tensor:
+    """InfoNCE as the matmul / scale / log-softmax / weight / sum chain."""
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
+    logits = (queries @ keys.T) * (1.0 / temperature)
+    log_probs = F.log_softmax(logits, axis=1)
+    weights = F.nce_weights(logits.shape[0], positive_mask, row_weights)
+    return -(log_probs * Tensor(weights)).sum()
+
+
+def reference_batched_linear(
+    x: Tensor,
+    weights: Sequence[Tensor],
+    biases: Optional[Sequence[Tensor]] = None,
+) -> Tensor:
+    """K separate ``Linear`` calls ``x[k] @ W_k.T (+ b_k)``, stacked."""
+    outputs = []
+    for k, weight in enumerate(weights):
+        out = x[k] @ weight.T
+        if biases is not None:
+            out = out + biases[k]
+        outputs.append(out)
+    return stack(outputs)
+
+
+def reference_alignment_loss(
+    self: IntentAlignment,
+    item_batch,
+    user_aggregation,
+    item_embeddings,
+    tag_aggregation_all,
+    tag_counts,
+    positive_masks=None,
+) -> Tensor:
+    """``IntentAlignment.alignment_loss`` as one pass per intent ``k``.
+
+    The reference for the stacked ``(K, B, ·)`` production body: views
+    are sliced per intent, and each intent runs its own tag projection
+    (Eq. 10) and projection head (Eq. 14) as separate ``Linear`` calls.
+    """
+    config = self.config
+    if not config.use_alignment:
+        return Tensor(np.zeros(()))
+    batch_size = len(item_batch)
+    k_count = config.num_intents
+    dim = self.intent_dim
+    weights = (
+        relatedness_weights(tag_counts)
+        if config.use_relatedness
+        else np.ones((batch_size, k_count)) / k_count
+    )
+
+    def project(k, view):
+        return getattr(self, f"head{k}")(view) if config.use_nlt else view
+
+    total = None
+    for k in range(k_count):
+        components = []
+        if config.align_tag:
+            rows = np.arange(batch_size) * k_count + k
+            projected = getattr(self, f"tag_proj{k}")(tag_aggregation_all[rows])
+            has_tags = (tag_counts[:, k] > 0).astype(np.float64)[:, None]
+            components.append(F.scale_rows(F.l2_normalize(projected), has_tags))
+        if config.align_item:
+            item_sub = intent_view(item_embeddings, k, k_count, dim=dim)
+            components.append(F.l2_normalize(item_sub))
+        z_view = components[0]
+        for part in components[1:]:
+            z_view = z_view + part
+        u_view = intent_view(user_aggregation, k, k_count, dim=dim)
+        u_proj = F.l2_normalize(project(k, u_view))
+        z_proj = F.l2_normalize(project(k, z_view))
+        mask = positive_masks[k] if positive_masks is not None else None
+        row_w = weights[:, k]
+        if config.alignment_objective == "byol":
+            term = self._byol_term(k, u_proj, z_proj, row_w)
+        else:
+            u2it = reference_info_nce(
+                u_proj, z_proj, config.tau, row_weights=row_w, positive_mask=mask
+            )
+            it2u = reference_info_nce(
+                z_proj,
+                u_proj,
+                config.tau,
+                row_weights=row_w,
+                positive_mask=mask.T if mask is not None else None,
+            )
+            term = u2it + it2u
+        total = term if total is None else total + term
+    return total * (1.0 / (2.0 * k_count * max(batch_size, 1)))
+
+
+@contextlib.contextmanager
+def reference_ops(enabled: bool = True):
+    """Run the primitive-chain references in place of ``F.bpr_loss``,
+    ``F.info_nce`` and ``IntentAlignment.alignment_loss`` while active
+    (a no-op when ``enabled`` is false)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(F, "bpr_loss", reference_bpr_loss)
+            patch.setattr(F, "info_nce", reference_info_nce)
+            patch.setattr(
+                IntentAlignment, "alignment_loss", reference_alignment_loss
+            )
+        yield

@@ -11,7 +11,12 @@ from hypothesis.extra import numpy as hnp
 from repro.nn import Tensor
 from repro.nn import functional as F
 
-from ..helpers import assert_gradcheck
+from ..helpers import (
+    assert_gradcheck,
+    reference_batched_linear,
+    reference_bpr_loss,
+    reference_info_nce,
+)
 
 
 def finite_matrix(rows=st.integers(2, 5), cols=st.integers(2, 5)):
@@ -320,3 +325,119 @@ class TestHelpers:
         pred = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         loss = F.mse_loss(pred, np.array([0.0, 0.0]))
         assert loss.item() == pytest.approx(2.5)
+
+
+def _edge_case(op, case, rng):
+    """Inputs for one (op, edge case) cell.
+
+    Returns ``(run, reference, leaves)``: the op and its primitive chain
+    as zero-argument loss builders over the same ``leaves``.
+    """
+    dtype = np.float32 if case == "float32" else np.float64
+    rows = 0 if case == "empty" else 5
+
+    def leaf(*shape):
+        return Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+
+    if op == "bpr_loss":
+        pos = leaf(rows)
+        if case == "shared":
+            neg = pos
+        elif case == "mismatched":
+            neg = leaf(1)  # would broadcast against pos
+        else:
+            neg = leaf(rows)
+        return (
+            lambda: F.bpr_loss(pos, neg),
+            lambda: reference_bpr_loss(pos, neg),
+            [pos] if pos is neg else [pos, neg],
+        )
+    if op == "info_nce":
+        queries = leaf(rows, 3)
+        if case == "shared":
+            keys = queries
+        elif case == "mismatched":
+            keys = leaf(rows - 1, 3)
+        else:
+            keys = leaf(rows, 3)
+        mask = np.eye(rows, dtype=bool)
+        if rows:
+            mask[0, 2] = mask[3, 1] = True  # widened positives (Eq. 17)
+        weights = rng.uniform(0.5, 1.5, size=rows)
+        return (
+            lambda: F.info_nce(queries, keys, 0.6, weights, mask),
+            lambda: reference_info_nce(queries, keys, 0.6, weights, mask),
+            [queries] if queries is keys else [queries, keys],
+        )
+    x = leaf(3, rows, 4)
+    weights = [leaf(2, 4) for _ in range(3)]
+    biases = [leaf(2) for _ in range(3)]
+
+    def squared(out):
+        # A non-uniform output gradient, so every slice is exercised.
+        return (out * out).sum()
+
+    return (
+        lambda: squared(F.batched_linear(x, weights, biases)),
+        lambda: squared(reference_batched_linear(x, weights, biases)),
+        [x] + weights + biases,
+    )
+
+
+def _loss_and_grads(builder, leaves):
+    for tensor in leaves:
+        tensor.zero_grad()
+    loss = builder()
+    loss.backward()
+    return loss.data, [tensor.grad for tensor in leaves]
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: Edge cases of the single-node ops; ``True`` marks the cases the op
+#: rejects with ``ValueError``.
+EDGE_CASES = {
+    ("bpr_loss", "empty"): True,
+    ("bpr_loss", "shared"): False,
+    ("bpr_loss", "float32"): False,
+    ("bpr_loss", "mismatched"): True,
+    ("info_nce", "empty"): True,
+    ("info_nce", "shared"): False,
+    ("info_nce", "float32"): False,
+    ("info_nce", "mismatched"): True,
+    ("batched_linear", "empty"): False,
+    ("batched_linear", "float32"): False,
+}
+
+
+@pytest.mark.parametrize("op,case", sorted(EDGE_CASES))
+def test_single_op_edge_cases_match_primitive_chain(op, case, rng):
+    run, reference, leaves = _edge_case(op, case, rng)
+    if EDGE_CASES[op, case]:
+        with pytest.raises(ValueError):
+            run()
+        if case == "empty":
+            # The primitive chain has no value here either.
+            with pytest.raises((ValueError, ZeroDivisionError)):
+                reference()
+        return
+    loss_ref, grads_ref = _loss_and_grads(reference, leaves)
+    loss, grads = _loss_and_grads(run, leaves)
+    assert _same_bits(loss, loss_ref)
+    for grad, grad_ref in zip(grads, grads_ref):
+        assert _same_bits(grad, grad_ref)
+    if op == "info_nce" and case == "shared":
+        # The shared input's gradient is the query-side plus the key-side
+        # contribution, each computed here on a separate copy.
+        queries = leaves[0]
+        keys = Tensor(queries.data.copy(), requires_grad=True)
+        queries.zero_grad()
+        F.info_nce(queries, keys, 0.6).backward()
+        split = queries.grad + keys.grad
+        queries.zero_grad()
+        F.info_nce(queries, queries, 0.6).backward()
+        assert _same_bits(queries.grad, split)
+    if case != "float32":
+        assert_gradcheck(run, leaves)

@@ -1,17 +1,21 @@
-"""Differential harness: fused execution is bit-identical to eager.
+"""Differential harness: the single-node ops carry the reference bits.
 
-The fusion contract (:mod:`repro.nn.fusion`) promises that enabling
-``fused_mode`` changes the *tape*, never the *numbers*: every loss
-value, every parameter gradient, and every post-optimizer-step
-parameter must carry the exact same float64 bits as the eager path.
-This suite locks that down three ways:
+``F.bpr_loss``, ``F.info_nce`` and ``F.batched_linear`` each record one
+tape node that runs the NumPy operations of a longer chain of primitive
+ops.  The contract is that this changes the *tape*, never the
+*numbers*: every loss value, every parameter gradient, and every
+post-optimizer-step parameter carries the same float64 bits as the
+reference.  This suite locks that down three ways:
 
 - a property sweep over every registry model (one full
-  forward/backward/Adam step, name-derived seeds and batch shapes),
-- an IMCAT ``training_loss`` differential across the paper's ablation
-  axes with clustering both inactive and active,
-- finite-difference gradchecks of each fused kernel in isolation, plus
-  tape-analysis assertions that fusion actually shrank the graph.
+  forward/backward/Adam step, name-derived seeds and batch shapes)
+  against the same step with the loss ops swapped for their primitive
+  chains (``reference_ops`` in ``tests/helpers.py``);
+- the IMCAT ``training_loss`` across the paper's ablation axes, with
+  clustering both inactive and active, against the per-intent reference
+  loop (``reference_alignment_loss``): K separate views, ``Linear``
+  projections and heads, and primitive-chain losses;
+- finite-difference gradchecks of each op in isolation.
 
 Bitwise equality is asserted with ``np.array_equal`` — no tolerances.
 """
@@ -23,15 +27,14 @@ import zlib
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.bench import MODEL_BUILDERS
 from repro.core import IMCAT, IMCATConfig
 from repro.data import BPRSampler, ItemTagSampler
 from repro.models import BPRMF
-from repro.nn import Adam, Tensor, fusion
+from repro.nn import Adam, Tensor
 from repro.nn import functional as F
 
-from ..helpers import assert_gradcheck
+from ..helpers import assert_gradcheck, reference_ops
 
 
 def _seed(name: str) -> int:
@@ -39,13 +42,20 @@ def _seed(name: str) -> int:
     return zlib.crc32(name.encode("utf-8")) % 100_000
 
 
-def _assert_same_grads(eager: dict, fused: dict) -> None:
-    assert eager.keys() == fused.keys()
-    for key in eager:
-        if eager[key] is None or fused[key] is None:
-            assert eager[key] is None and fused[key] is None, key
+def _grads(model) -> dict:
+    return {
+        name: None if param.grad is None else param.grad.copy()
+        for name, param in model.named_parameters()
+    }
+
+
+def _assert_same_grads(reference: dict, actual: dict) -> None:
+    assert reference.keys() == actual.keys()
+    for key in reference:
+        if reference[key] is None or actual[key] is None:
+            assert reference[key] is None and actual[key] is None, key
         else:
-            assert np.array_equal(eager[key], fused[key]), key
+            assert np.array_equal(reference[key], actual[key]), key
 
 
 def _full_step(model, batch, rng):
@@ -60,16 +70,13 @@ def _full_step(model, batch, rng):
     optimizer = Adam(model.parameters(), lr=0.01)
     optimizer.zero_grad()
     loss.backward()
-    grads = {
-        name: None if param.grad is None else param.grad.copy()
-        for name, param in model.named_parameters()
-    }
+    grads = _grads(model)
     optimizer.step()
     return float(loss.item()), grads, model.state_dict()
 
 
 class TestModelStepDifferential:
-    """Every registry model: fused == eager to the bit through one step."""
+    """Every registry model: one op == primitive chain to the bit."""
 
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
     def test_step_bit_identical(self, name, small_dataset, small_split):
@@ -78,20 +85,20 @@ class TestModelStepDifferential:
         sampler = BPRSampler(small_split.train, seed=seed)
         batch = next(sampler.epoch(batch_size, shuffle=False))
 
-        def run(fused):
+        def run(reference):
             model = MODEL_BUILDERS[name](
                 small_dataset, small_split, 8, np.random.default_rng(seed)
             )
-            with fusion.fused_mode(fused):
+            with reference_ops(reference):
                 return _full_step(model, batch, np.random.default_rng(seed + 1))
 
-        loss_eager, grads_eager, params_eager = run(False)
-        loss_fused, grads_fused, params_fused = run(True)
-        assert loss_eager == loss_fused
-        _assert_same_grads(grads_eager, grads_fused)
-        assert params_eager.keys() == params_fused.keys()
-        for key in params_eager:
-            assert np.array_equal(params_eager[key], params_fused[key]), key
+        loss_ref, grads_ref, params_ref = run(True)
+        loss, grads, params = run(False)
+        assert loss_ref == loss
+        _assert_same_grads(grads_ref, grads)
+        assert params_ref.keys() == params.keys()
+        for key in params_ref:
+            assert np.array_equal(params_ref[key], params[key]), key
 
     @pytest.mark.parametrize("name", sorted(MODEL_BUILDERS))
     def test_tag_loss_bit_identical(self, name, small_dataset, small_split):
@@ -105,29 +112,25 @@ class TestModelStepDifferential:
             ItemTagSampler(small_dataset, seed=seed).epoch(33, shuffle=False)
         )
 
-        def run(fused):
+        def run(reference):
             model = MODEL_BUILDERS[name](
                 small_dataset, small_split, 8, np.random.default_rng(seed)
             )
             model.train()
-            with fusion.fused_mode(fused):
+            with reference_ops(reference):
                 loss = model.tag_bpr_loss(batch)
                 model.zero_grad()
                 loss.backward()
-            grads = {
-                key: None if param.grad is None else param.grad.copy()
-                for key, param in model.named_parameters()
-            }
-            return float(loss.item()), grads
+            return float(loss.item()), _grads(model)
 
-        loss_eager, grads_eager = run(False)
-        loss_fused, grads_fused = run(True)
-        assert loss_eager == loss_fused
-        _assert_same_grads(grads_eager, grads_fused)
+        loss_ref, grads_ref = run(True)
+        loss, grads = run(False)
+        assert loss_ref == loss
+        _assert_same_grads(grads_ref, grads)
 
 
 #: Compact slice of the paper's Table III / Fig. 6 ablation axes — each
-#: entry exercises a different branch mix inside the fused alignment.
+#: entry exercises a different branch mix inside the stacked alignment.
 ABLATIONS = {
     "full": {},
     "no-nlt": {"use_nlt": False},
@@ -139,8 +142,28 @@ ABLATIONS = {
 }
 
 
+def _imcat_loss(config, clustering, reference, dataset, split):
+    """One IMCAT ``training_loss`` forward/backward; (loss, grads)."""
+    ui = next(BPRSampler(split.train, seed=3).epoch(64, shuffle=False))
+    it = next(ItemTagSampler(dataset, seed=4).epoch(64, shuffle=False))
+    items = np.arange(min(32, dataset.num_items))
+    rng = np.random.default_rng(7)
+    backbone = BPRMF(dataset.num_users, dataset.num_items, 16, rng)
+    model = IMCAT(backbone, dataset, split.train, config, rng=rng)
+    model.train()
+    if clustering:
+        model.activate_clustering(np.random.default_rng(11))
+    model.refresh_epoch(0)
+    model.begin_step()
+    with reference_ops(reference):
+        loss = model.training_loss(ui, it, items, np.random.default_rng(13))
+        model.zero_grad()
+        loss.backward()
+    return float(loss.item()), _grads(model)
+
+
 class TestImcatDifferential:
-    """The joint IMCAT objective fused vs eager, across ablation axes."""
+    """The joint IMCAT objective against the per-intent reference loop."""
 
     @pytest.mark.parametrize("clustering", [False, True])
     @pytest.mark.parametrize("variant", sorted(ABLATIONS))
@@ -150,49 +173,41 @@ class TestImcatDifferential:
         config = IMCATConfig(
             num_intents=4, align_batch_size=32, **ABLATIONS[variant]
         )
-        ui = next(BPRSampler(small_split.train, seed=3).epoch(64, shuffle=False))
-        it = next(
-            ItemTagSampler(small_dataset, seed=4).epoch(64, shuffle=False)
+        loss_ref, grads_ref = _imcat_loss(
+            config, clustering, True, small_dataset, small_split
         )
-        items = np.arange(min(32, small_dataset.num_items))
+        loss, grads = _imcat_loss(
+            config, clustering, False, small_dataset, small_split
+        )
+        assert loss_ref == loss
+        _assert_same_grads(grads_ref, grads)
 
-        def run(fused):
-            rng = np.random.default_rng(7)
-            backbone = BPRMF(
-                small_dataset.num_users, small_dataset.num_items, 16, rng
-            )
-            model = IMCAT(
-                backbone, small_dataset, small_split.train, config, rng=rng
-            )
-            model.train()
-            if clustering:
-                model.activate_clustering(np.random.default_rng(11))
-            model.refresh_epoch(0)
-            model.begin_step()
-            with fusion.fused_mode(fused):
-                loss = model.training_loss(ui, it, items, np.random.default_rng(13))
-                model.zero_grad()
-                loss.backward()
-            grads = {
-                key: None if param.grad is None else param.grad.copy()
-                for key, param in model.named_parameters()
-            }
-            return float(loss.item()), grads
-
-        loss_eager, grads_eager = run(False)
-        loss_fused, grads_fused = run(True)
-        assert loss_eager == loss_fused
-        _assert_same_grads(grads_eager, grads_fused)
+    @pytest.mark.parametrize("clustering", [False, True])
+    def test_byol_objective_bit_identical(
+        self, clustering, small_dataset, small_split
+    ):
+        # The BYOL variant feeds the stacked projections to per-intent
+        # predictors instead of InfoNCE.
+        config = IMCATConfig(
+            num_intents=4, align_batch_size=32, alignment_objective="byol"
+        )
+        loss_ref, grads_ref = _imcat_loss(
+            config, clustering, True, small_dataset, small_split
+        )
+        loss, grads = _imcat_loss(
+            config, clustering, False, small_dataset, small_split
+        )
+        assert loss_ref == loss
+        _assert_same_grads(grads_ref, grads)
 
 
 class TestFusedOpGradcheck:
-    """Finite-difference checks of each fused kernel in isolation."""
+    """Finite-difference checks of each single-node op in isolation."""
 
     def test_elementwise_bpr(self, rng):
         pos = Tensor(rng.normal(size=23), requires_grad=True)
         neg = Tensor(rng.normal(size=23), requires_grad=True)
-        with fusion.fused_mode(True):
-            assert_gradcheck(lambda: F.bpr_loss(pos, neg), [pos, neg])
+        assert_gradcheck(lambda: F.bpr_loss(pos, neg), [pos, neg])
 
     def test_info_nce_with_mask_and_weights(self, rng):
         queries = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
@@ -200,11 +215,10 @@ class TestFusedOpGradcheck:
         mask = np.eye(6, dtype=bool)
         mask[0, 3] = mask[2, 5] = True  # widened positive sets (Eq. 17)
         weights = rng.uniform(0.5, 1.5, size=6)
-        with fusion.fused_mode(True):
-            assert_gradcheck(
-                lambda: F.info_nce(queries, keys, 0.7, weights, mask),
-                [queries, keys],
-            )
+        assert_gradcheck(
+            lambda: F.info_nce(queries, keys, 0.7, weights, mask),
+            [queries, keys],
+        )
 
     def test_batched_linear(self, rng):
         x = Tensor(rng.normal(size=(3, 5, 4)), requires_grad=True)
@@ -215,68 +229,7 @@ class TestFusedOpGradcheck:
         biases = [
             Tensor(rng.normal(size=2), requires_grad=True) for _ in range(3)
         ]
-        with fusion.fused_mode(True):
-            assert_gradcheck(
-                lambda: fusion.batched_linear(x, weights, biases).sum(),
-                [x] + weights + biases,
-            )
-
-    def test_dot_bpr(self, rng):
-        users = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        items = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
-        anchors = np.array([0, 1, 3, 3, 2])
-        positives = np.array([0, 2, 1, 1, 4])
-        negatives = np.array([3, 0, 4, 2, 0])
-        with fusion.fused_mode(True):
-            loss_builder = lambda: fusion.dot_bpr(
-                users, items, anchors, positives, negatives
-            )
-            assert loss_builder() is not None
-            assert_gradcheck(loss_builder, [users, items])
-
-
-class TestFusionBookkeeping:
-    """Mode management, stats accounting, and tape analysis."""
-
-    def test_fused_mode_nests_and_restores(self):
-        assert not fusion.is_fused()
-        with fusion.fused_mode(True):
-            assert fusion.is_fused()
-            with fusion.fused_mode(False):
-                assert not fusion.is_fused()
-            assert fusion.is_fused()
-        assert not fusion.is_fused()
-
-    def test_stats_count_kernel_calls_without_fallbacks(self, rng):
-        fusion.reset()
-        pos = Tensor(rng.normal(size=16), requires_grad=True)
-        neg = Tensor(rng.normal(size=16), requires_grad=True)
-        with fusion.fused_mode(True):
-            for _ in range(3):
-                F.bpr_loss(pos, neg).backward()
-        assert fusion.stats.kernel_calls == 3
-        assert fusion.stats.kernels_compiled == 1  # cached after first call
-        assert fusion.stats.fallbacks == 0
-        assert fusion.stats.nodes_saved > 0
-
-    def test_record_metrics_flushes_and_resets(self, rng):
-        fusion.reset()
-        pos = Tensor(rng.normal(size=8), requires_grad=True)
-        neg = Tensor(rng.normal(size=8), requires_grad=True)
-        with fusion.fused_mode(True):
-            F.bpr_loss(pos, neg).backward()
-        metrics = obs.MetricsRegistry()
-        fusion.record_metrics(metrics)
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["fusion.kernel_calls"] == 1
-        assert fusion.stats.kernel_calls == 0  # reset_after drained them
-
-    def test_analyze_finds_eager_chains_and_fused_shrink(self, rng):
-        pos = Tensor(rng.normal(size=16), requires_grad=True)
-        neg = Tensor(rng.normal(size=16), requires_grad=True)
-        eager_report = fusion.analyze(F.bpr_loss(pos, neg))
-        assert eager_report.fusable_nodes >= 2
-        with fusion.fused_mode(True):
-            fused_report = fusion.analyze(F.bpr_loss(pos, neg))
-        assert fused_report.nodes < eager_report.nodes
-        assert fused_report.fusable_nodes == 0
+        assert_gradcheck(
+            lambda: F.batched_linear(x, weights, biases).sum(),
+            [x] + weights + biases,
+        )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -22,6 +25,8 @@ from repro.ckpt import (
     rng_state,
     set_rng_state,
 )
+from repro.core import IMCATTrainConfig
+from repro.models import TrainConfig
 from repro.nn import SGD, Adam, CosineAnnealing, Parameter
 
 
@@ -79,6 +84,12 @@ class TestSerialize:
         with pytest.raises(ValueError):
             decode_state(b"definitely not an npz archive")
 
+    def test_read_checkpoint_wraps_malformed_payloads(self, tmp_path):
+        path = tmp_path / "torn.npz"
+        path.write_bytes(encode_state({"w": np.ones(32)})[:-7])
+        with pytest.raises(CheckpointError, match="cannot read"):
+            read_checkpoint(str(path))
+
 
 class TestConfigFingerprint:
     def test_stable_and_order_insensitive(self):
@@ -93,6 +104,105 @@ class TestConfigFingerprint:
         assert config_fingerprint(
             {"lr": 1e-3, "epochs": 10, "verbose": True, "resume_from": "auto"}
         ) == config_fingerprint({"lr": 1e-3, "epochs": 99, "verbose": False})
+
+    def test_trainer_config_digests_are_pinned(self):
+        # Snapshots store these digests and refuse to resume on a
+        # mismatch.  JSON + SHA-256 is platform independent, so a change
+        # here means every existing snapshot stops resuming.
+        assert config_fingerprint(IMCATTrainConfig()) == "95316c802629df5a"
+        assert config_fingerprint(TrainConfig()) == "a6c22db955afccb0"
+
+
+def _mutations(payload: bytes, seed: int, count: int):
+    """Seeded corruptions of ``payload``: truncations, bit flips, and
+    random byte strings, in rotation."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        data = bytearray(payload)
+        kind = i % 3
+        if kind == 0:
+            data = data[: int(rng.integers(0, len(data)))]
+        elif kind == 1:
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(len(data)))
+                data[at] ^= 1 << int(rng.integers(8))
+        else:
+            data = bytearray(rng.bytes(int(rng.integers(0, 512))))
+        yield kind, bytes(data)
+
+
+class TestFailClosed:
+    """Every malformed payload ends in ``ValueError``, never a raw error
+    from the zip, compression or JSON layers underneath."""
+
+    def test_mutated_payloads_decode_or_raise_value_error(self):
+        state = {
+            "step": 3,
+            "weights": np.random.default_rng(0).normal(size=(16, 4)),
+            "nested": [1, 2.5, "x", (np.arange(3),)],
+            "rng": rng_state(np.random.default_rng(1)),
+        }
+        outcomes = {"decoded": 0, "rejected": 0}
+        for kind, data in _mutations(encode_state(state), seed=2024, count=900):
+            try:
+                decoded = decode_state(data)
+            except ValueError:
+                outcomes["rejected"] += 1
+            else:
+                assert isinstance(decoded, dict), kind
+                outcomes["decoded"] += 1
+        assert outcomes["rejected"] > 0
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            [],
+            {"version": 1, "tree": 5},
+            {"version": 1, "tree": {"t": "nd", "k": "a7"}},
+            {"version": 1},
+        ],
+    )
+    def test_wrong_shape_structure_document_is_rejected(self, document):
+        buffer = io.BytesIO()
+        np.savez(buffer, __tree__=np.frombuffer(
+            json.dumps(document).encode("utf-8"), dtype=np.uint8
+        ))
+        with pytest.raises(ValueError, match="malformed|version"):
+            decode_state(buffer.getvalue())
+
+    def test_manifest_that_is_not_an_object_is_rebuilt(self, tmp_path):
+        CheckpointManager(str(tmp_path)).save({"step": 1}, step=1)
+        (tmp_path / "manifest.json").write_text("[1, 2]", encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="manifest"):
+            rebuilt = CheckpointManager(str(tmp_path))
+        assert [entry["step"] for entry in rebuilt.entries()] == [1]
+
+    def test_torn_manifest_and_flipped_snapshot_are_skipped(self, tmp_path):
+        manager = CheckpointManager(str(tmp_path), keep_last=5)
+        manager.save({"step": 1, "w": np.ones(64)}, step=1)
+        manager.save({"step": 2, "w": np.zeros(64)}, step=2)
+        newest = tmp_path / manager.entries()[-1]["file"]
+        data = bytearray(newest.read_bytes())
+        # Flip the first deflate block of the structure document to the
+        # reserved block type: zlib then fails mid-read with zlib.error.
+        with zipfile.ZipFile(newest) as archive:
+            info = archive.getinfo("__tree__.npy")
+        start = info.header_offset + 30 + len(info.filename)
+        start += int.from_bytes(data[info.header_offset + 28:][:2], "little")
+        data[start] |= 0b110
+        newest.write_bytes(bytes(data))
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes()[:40])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rebuilt = CheckpointManager(str(tmp_path))
+        messages = [str(w.message) for w in caught]
+        assert all(w.category is RuntimeWarning for w in caught)
+        assert any("manifest" in m and "corrupt" in m for m in messages)
+        assert any("skipping unreadable" in m for m in messages)
+        assert [entry["step"] for entry in rebuilt.entries()] == [1]
+        assert rebuilt.load_latest().step == 1
 
 
 class TestOptimizerState:

@@ -34,7 +34,6 @@ class TestParser:
         )
         assert args.scale == 0.05
         assert args.epochs == 40
-        assert args.fused is False
         assert args.dp_workers == 0
         assert args.dp_backend == "fork"
 
@@ -75,7 +74,7 @@ class TestCommands:
         code = main([
             "run", "--dataset", "hetrec-del", "--method", "BPRMF",
             "--scale", "0.04", "--epochs", "2", "--embed-dim", "16",
-            "--batch-size", "128", "--fused", "--dp-workers", "1",
+            "--batch-size", "128", "--dp-workers", "1",
         ])
         assert code == 0
         out = capsys.readouterr().out

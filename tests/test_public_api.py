@@ -45,6 +45,14 @@ class TestExports:
             f"{module_name}: public items without docstrings: {undocumented}"
         )
 
+    def test_nn_has_one_execution_path(self):
+        # Training runs one set of autograd ops; there is no mode to flip.
+        nn = importlib.import_module("repro.nn")
+        for removed in ("fusion", "fused_mode", "is_fused", "set_fused"):
+            assert not hasattr(nn, removed), removed
+        for op in ("batched_linear", "bpr_loss", "info_nce", "nce_weights"):
+            assert callable(getattr(nn.functional, op)), op
+
     def test_package_docstring_mentions_paper(self):
         assert "IMCAT" in (repro.__doc__ or "")
 

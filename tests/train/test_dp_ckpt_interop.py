@@ -1,10 +1,12 @@
 """Checkpoint interop across execution modes.
 
-``fused``/``dp_workers``/``dp_backend`` are volatile config fields: a
-snapshot written under any execution mode must resume under any other
-with a bit-exact continuation.  These tests halt a run at an epoch
-boundary in one mode and finish it in another, comparing against the
-uninterrupted serial run.
+``dp_workers``/``dp_backend`` are volatile config fields: a snapshot
+written under any execution mode must resume under any other with a
+bit-exact continuation.  These tests halt a run at an epoch boundary in
+one mode and finish it in another, comparing against the uninterrupted
+serial run.  The serial halves run the primitive-chain reference ops
+(``reference_ops`` in ``tests/helpers.py``) and the data-parallel halves
+the single-node ops, so every resume also crosses between the two.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import pytest
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.data import generate_preset, split_dataset
 from repro.models import BPRMF, TrainConfig, fit_bpr
+
+from ..helpers import reference_ops
 
 EPOCHS = 4
 HALT = 2
@@ -61,9 +65,11 @@ def assert_states_equal(model_a, model_b):
         assert np.array_equal(array, state_b[name]), f"parameter {name} diverged"
 
 
+#: "serial" runs under ``reference_ops``; "fused-dp-fork" is the
+#: single-node ("fused") ops on a forked worker.
 MODES = {
     "serial": {},
-    "fused-dp-fork": {"fused": True, "dp_workers": 1, "dp_backend": "fork"},
+    "fused-dp-fork": {"dp_workers": 1, "dp_backend": "fork"},
     "dp-inline": {"dp_workers": 1, "dp_backend": "inline"},
 }
 
@@ -81,17 +87,19 @@ class TestBprInterop:
         full = fit_bpr(full_model, split, bpr_config())
 
         part_model = make_bprmf(interop_split)
-        fit_bpr(
-            part_model, split,
-            bpr_config(epochs=HALT, checkpoint_dir=str(tmp_path),
-                       **MODES[halt_mode]),
-        )
+        with reference_ops(halt_mode == "serial"):
+            fit_bpr(
+                part_model, split,
+                bpr_config(epochs=HALT, checkpoint_dir=str(tmp_path),
+                           **MODES[halt_mode]),
+            )
         resumed_model = make_bprmf(interop_split)
-        resumed = fit_bpr(
-            resumed_model, split,
-            bpr_config(checkpoint_dir=str(tmp_path), resume_from="auto",
-                       **MODES[resume_mode]),
-        )
+        with reference_ops(resume_mode == "serial"):
+            resumed = fit_bpr(
+                resumed_model, split,
+                bpr_config(checkpoint_dir=str(tmp_path), resume_from="auto",
+                           **MODES[resume_mode]),
+            )
         assert resumed.history == full.history
         assert_states_equal(resumed_model, full_model)
 
@@ -99,21 +107,22 @@ class TestBprInterop:
 class TestImcatInterop:
     def test_serial_snapshot_resumes_fused_dp(self, interop_split, tmp_path):
         # HALT=2 > pretrain_epochs=1: the resume re-enters an active
-        # clustering phase under fused data-parallel execution.
+        # clustering phase on a data-parallel worker.
         _, split = interop_split
         full_model = make_imcat(interop_split)
         full = IMCATTrainer(full_model, split, imcat_config()).fit()
 
         part_model = make_imcat(interop_split)
-        IMCATTrainer(
-            part_model, split,
-            imcat_config(epochs=HALT, checkpoint_dir=str(tmp_path)),
-        ).fit()
+        with reference_ops():
+            IMCATTrainer(
+                part_model, split,
+                imcat_config(epochs=HALT, checkpoint_dir=str(tmp_path)),
+            ).fit()
         resumed_model = make_imcat(interop_split)
         resumed = IMCATTrainer(
             resumed_model, split,
             imcat_config(checkpoint_dir=str(tmp_path), resume_from="auto",
-                         fused=True, dp_workers=1, dp_backend="fork"),
+                         dp_workers=1, dp_backend="fork"),
         ).fit()
         assert resumed.history == full.history
         assert_states_equal(resumed_model, full_model)
@@ -127,12 +136,13 @@ class TestImcatInterop:
         IMCATTrainer(
             part_model, split,
             imcat_config(epochs=HALT, checkpoint_dir=str(tmp_path),
-                         fused=True, dp_workers=1, dp_backend="fork"),
+                         dp_workers=1, dp_backend="fork"),
         ).fit()
         resumed_model = make_imcat(interop_split)
-        resumed = IMCATTrainer(
-            resumed_model, split,
-            imcat_config(checkpoint_dir=str(tmp_path), resume_from="auto"),
-        ).fit()
+        with reference_ops():
+            resumed = IMCATTrainer(
+                resumed_model, split,
+                imcat_config(checkpoint_dir=str(tmp_path), resume_from="auto"),
+            ).fit()
         assert resumed.history == full.history
         assert_states_equal(resumed_model, full_model)

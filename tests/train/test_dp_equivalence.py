@@ -17,6 +17,8 @@ from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.data import generate_preset, split_dataset
 from repro.models import BPRMF, TrainConfig, fit_bpr
 
+from ..helpers import reference_ops
+
 EPOCHS = 3
 
 
@@ -119,12 +121,12 @@ class TestImcatEquivalence:
         assert_states_equal(dp_model, serial_model)
 
     def test_fused_dp_is_bitwise_serial_eager(self, dp_split):
-        # The full stack: fused kernels + data-parallel workers against
-        # the plain serial eager loop — still the same bits.
-        serial_model, serial = run_imcat(dp_split)
-        dp_model, dp = run_imcat(
-            dp_split, fused=True, dp_workers=1, dp_backend="fork"
-        )
+        # The full stack: the single-node loss ops on a data-parallel
+        # worker against a serial run of the primitive-chain references
+        # and the per-intent alignment loop — still the same bits.
+        with reference_ops():
+            serial_model, serial = run_imcat(dp_split)
+        dp_model, dp = run_imcat(dp_split, dp_workers=1, dp_backend="fork")
         assert dp.history == serial.history
         assert_states_equal(dp_model, serial_model)
 
@@ -138,9 +140,7 @@ class TestImcatEquivalence:
 
     def test_multiworker_tracks_serial_trajectory(self, dp_split):
         _, serial = run_imcat(dp_split)
-        _, dp = run_imcat(
-            dp_split, fused=True, dp_workers=3, dp_backend="fork"
-        )
+        _, dp = run_imcat(dp_split, dp_workers=3, dp_backend="fork")
         serial_losses = [record["loss"] for record in serial.history]
         dp_losses = [record["loss"] for record in dp.history]
         np.testing.assert_allclose(dp_losses, serial_losses, rtol=1e-6)
