@@ -168,7 +168,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         scored = scorer.scored_items / max(scorer.queries, 1)
         print(
             format_table(
-                ["mode", f"R@{n} (%)", f"N@{n} (%)", "scored/query"],
+                ["mode", f"R@{n} (%)", f"N@{n} (%)", "shortlist/query"],
                 [
                     ["exact", 100 * cell.recall, 100 * cell.ndcg,
                      dataset.num_items],
@@ -179,8 +179,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                 title=(
                     f"retrieval: {index.num_partitions} partitions "
                     f"({index.strategy}), "
-                    f"{dataset.num_items / max(scored, 1e-9):.1f}x fewer "
-                    f"scored items"
+                    f"{dataset.num_items / max(scored, 1e-9):.1f}x smaller "
+                    f"shortlist"
                 ),
             )
         )

@@ -80,15 +80,16 @@ def rank_items(scores: np.ndarray, exclude: Set[int], top_n: int) -> np.ndarray:
     ``exclude`` holds the user's training items: the task definition
     (Section III.A) requires the recommended set to be disjoint from the
     training set.  Implemented with ``argpartition`` for O(|V|) selection
-    followed by an O(top_n log top_n) sort.
+    followed by an O(top_n log top_n) sort, both on the negated scores:
+    excluded and ``-inf`` items then tie at ``+inf`` past the selected
+    prefix, where ``argpartition`` stays linear however many there are.
     """
-    scores = np.asarray(scores, dtype=np.float64)
+    negated = -np.asarray(scores, dtype=np.float64)
     if exclude:
-        scores = scores.copy()
-        scores[list(exclude)] = -np.inf
-    k = min(top_n, len(scores))
-    top = np.argpartition(scores, -k)[-k:]
-    ranked = top[np.argsort(scores[top])[::-1]]
+        negated[list(exclude)] = np.inf
+    k = min(top_n, len(negated))
+    top = np.argpartition(negated, k - 1)[:k]
+    ranked = top[np.argsort(negated[top])]
     # Excluded items must never be recommended, even when fewer than
     # ``top_n`` candidates remain.
-    return ranked[np.isfinite(scores[ranked])]
+    return ranked[np.isfinite(negated[ranked])]

@@ -4,10 +4,11 @@ The catalogue is partitioned once at index-build time — by IMCAT's
 learned tag-cluster/intent structure when available, by K-means over the
 item representations otherwise — and queries route through partition
 centroids: score ``K`` centroids instead of ``|V|`` items, probe the top
-``n_probe`` partitions, exact-score only that shortlist (∪ a small
-global-popularity head).  :class:`ExactIndex` is the always-correct
-brute-force baseline; ``n_probe = num_partitions`` on a
-:class:`ClusterIndex` reproduces it exactly.
+``n_probe`` partitions, and shortlist their members (∪ a small
+global-popularity head).  Only :class:`Retriever` exact-scores the
+shortlist alone; approximate evaluation does the dense ``all_scores``
+work and masks it, so its ``scored_items`` is routing width, not pairs
+computed.  ``n_probe = num_partitions`` reproduces :class:`ExactIndex`.
 
 Entry points:
 
@@ -24,7 +25,7 @@ Entry points:
 
 ``python -m repro.retrieval smoke`` runs a tiny build→probe→recall
 assertion suite (the ``make retrieval-smoke`` gate);
-:func:`run_retrieval_suite` produces the recall-vs-speedup curve stored
+:func:`run_retrieval_suite` produces the recall-vs-cost curve stored
 in ``benchmarks/BENCH_retrieval.json``.
 """
 

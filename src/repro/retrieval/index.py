@@ -7,7 +7,8 @@ centroid of its member vectors.  At query time the user vector is
 scored against the *centroids* (``K`` dot products instead of ``|V|``),
 the top ``n_probe`` partitions are probed, and only their members (plus
 a small global-popularity head, so degraded or cold users never see an
-empty shortlist) go on to exact scoring.
+empty shortlist) go on to exact scoring.  ``candidate_mask`` is the one
+shortlist definition; the per-user id lists are its non-zero columns.
 
 :class:`ExactIndex` implements the same contract over the full
 catalogue and is the always-correct baseline every approximate result
@@ -64,7 +65,24 @@ def model_fingerprint(model) -> str:
     return digest.hexdigest()
 
 
-class ExactIndex:
+class _MaskShortlists:
+    """Per-user shortlists derived from ``candidate_mask`` rows."""
+
+    def candidates(
+        self, user_vector: np.ndarray, n_probe: int = 2
+    ) -> np.ndarray:
+        """Sorted shortlist item ids for one user vector."""
+        return np.flatnonzero(self.candidate_mask(user_vector, n_probe)[0])
+
+    def candidate_lists(
+        self, user_matrix: np.ndarray, n_probe: int = 2
+    ) -> List[np.ndarray]:
+        """Per-row sorted shortlists for a ``(B, d)`` batch of users."""
+        mask = self.candidate_mask(user_matrix, n_probe)
+        return [np.flatnonzero(row) for row in mask]
+
+
+class ExactIndex(_MaskShortlists):
     """Brute-force baseline: every query scores the full catalogue."""
 
     strategy = "exact"
@@ -75,22 +93,17 @@ class ExactIndex:
         self.num_items = num_items
         self.fingerprint = fingerprint
         self.num_partitions = 1
-        self._all = np.arange(num_items, dtype=np.int64)
 
     @classmethod
     def build(cls, model) -> "ExactIndex":
         return cls(model.num_items, fingerprint=model_fingerprint(model))
 
-    def candidates(
-        self, user_vector: np.ndarray, n_probe: int = 1
-    ) -> np.ndarray:
-        """The full catalogue, whatever ``n_probe`` says."""
-        return self._all
-
-    def candidate_lists(
+    def candidate_mask(
         self, user_matrix: np.ndarray, n_probe: int = 1
-    ) -> List[np.ndarray]:
-        return [self._all] * len(user_matrix)
+    ) -> np.ndarray:
+        """All-True ``(B, |V|)`` mask, whatever ``n_probe`` says."""
+        rows = len(np.atleast_2d(user_matrix))
+        return np.ones((rows, self.num_items), dtype=bool)
 
     def state_dict(self) -> dict:
         return {
@@ -101,7 +114,7 @@ class ExactIndex:
         }
 
 
-class ClusterIndex:
+class ClusterIndex(_MaskShortlists):
     """Partitioned catalogue with one routing centroid per partition.
 
     Args:
@@ -149,19 +162,10 @@ class ClusterIndex:
             raise ValueError("popular_head item ids out of range")
         self.fingerprint = fingerprint
         self.strategy = strategy
-        # Members per partition, derived once: one argsort instead of a
-        # per-partition scan.
-        order = np.argsort(self.item_partitions, kind="stable")
-        counts = np.bincount(
+        self.partition_sizes = np.bincount(
             self.item_partitions, minlength=self.num_partitions
         )
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        self._members = [
-            order[bounds[k] : bounds[k + 1]]
-            for k in range(self.num_partitions)
-        ]
-        self.partition_sizes = counts
-        self._empty = counts == 0
+        self._empty = self.partition_sizes == 0
 
     # ------------------------------------------------------------------
     # routing
@@ -185,27 +189,16 @@ class ClusterIndex:
         order = np.argsort(part_scores, axis=1)[:, ::-1]
         return np.take_along_axis(part, order, axis=1)
 
-    def candidates(
-        self, user_vector: np.ndarray, n_probe: int = 2
-    ) -> np.ndarray:
-        """Shortlist for one user vector: probed members ∪ popular head."""
-        probes = self.route(user_vector[None, :], n_probe)[0]
-        parts = [self._members[k] for k in probes] + [self.popular_head]
-        return np.unique(np.concatenate(parts))
-
-    def candidate_lists(
+    def candidate_mask(
         self, user_matrix: np.ndarray, n_probe: int = 2
-    ) -> List[np.ndarray]:
-        """Per-row shortlists for a ``(B, d)`` batch of user vectors."""
+    ) -> np.ndarray:
+        """``(B, |V|)`` shortlist mask: probed members ∪ popular head."""
         probes = self.route(user_matrix, n_probe)
-        return [
-            np.unique(
-                np.concatenate(
-                    [self._members[k] for k in row] + [self.popular_head]
-                )
-            )
-            for row in probes
-        ]
+        probed = np.zeros((len(probes), self.num_partitions), dtype=bool)
+        np.put_along_axis(probed, probes, True, axis=1)
+        mask = probed[:, self.item_partitions]
+        mask[:, self.popular_head] = True
+        return mask
 
     # ------------------------------------------------------------------
     # (de)serialisation

@@ -7,10 +7,10 @@ Three layers over one index:
   shortlist, escalate to full scoring when the shortlist cannot fill
   the request (``top_n`` larger than the candidate pool);
 - :class:`ApproximateScorer` — an ``all_scores``-compatible adapter the
-  :class:`repro.eval.Evaluator` ranks through unchanged: off-shortlist
-  entries are ``-inf`` and shortlist entries carry the model's own
-  pairwise scores, so ``n_probe = num_partitions`` reproduces exact
-  evaluation bit-for-bit;
+  :class:`repro.eval.Evaluator` ranks through unchanged: the model's
+  dense ``all_scores`` with off-shortlist entries masked to ``-inf``,
+  so ``n_probe = num_partitions`` reproduces exact evaluation
+  bit-for-bit (only :class:`Retriever` is sub-linear);
 - :class:`RetrievalTier` — the serving-side lifecycle wrapper behind
   :class:`repro.serve.RecommendationService`: version-tracked index
   reuse/rebuild across hot reloads, and *every* failure mode (stale
@@ -150,16 +150,16 @@ class Retriever:
 class ApproximateScorer:
     """``all_scores`` adapter ranking only the probed shortlist.
 
-    Drop-in for any consumer of the evaluator contract: returns a
-    ``(B, |V|)`` matrix that is ``-inf`` everywhere except shortlisted
-    columns, which carry the model's own pairwise scores.  Downstream
-    masking/argpartition machinery is reused unchanged, while the
-    O(|V| · d) scoring work shrinks to O(shortlist · d) per user.
+    Drop-in for any consumer of the evaluator contract: returns
+    ``np.where(index.candidate_mask(...), model.all_scores(users), -inf)``.
+    Scoring is the model's own dense BLAS pass, so this measures what
+    ranking through the routing returns, not a scoring saving.
 
     Attributes:
-        scored_items: total shortlist entries scored so far.
+        scored_items: shortlist entries ranked so far (routing width,
+            not pairs computed).
         queries: users answered so far (``scored_items / queries`` is
-            the per-query scored-catalogue fraction the bench reports).
+            the per-query shortlist size the bench reports).
     """
 
     def __init__(
@@ -191,35 +191,22 @@ class ApproximateScorer:
         with self.tracer.span(
             "retrieval:batch", users=len(users), n_probe=self.n_probe
         ):
-            vectors = user_vectors(self.model, users)
             with self.tracer.span("retrieval:probe"):
-                shortlists = self.index.candidate_lists(vectors, self.n_probe)
-            lengths = np.fromiter(
-                (len(s) for s in shortlists), dtype=np.int64, count=len(users)
-            )
-            flat_items = (
-                np.concatenate(shortlists)
-                if lengths.sum()
-                else np.empty(0, dtype=np.int64)
-            )
-            flat_users = np.repeat(users, lengths)
-            with self.tracer.span(
-                "retrieval:score", candidates=int(lengths.sum())
-            ), no_grad():
-                flat_scores = np.asarray(
-                    self.model.pair_scores(flat_users, flat_items).data,
-                    dtype=np.float64,
+                mask = self.index.candidate_mask(
+                    user_vectors(self.model, users), self.n_probe
                 )
-            scores = np.full((len(users), self.num_items), -np.inf)
-            rows = np.repeat(np.arange(len(users), dtype=np.int64), lengths)
-            scores[rows, flat_items] = flat_scores
+            with self.tracer.span("retrieval:score"), no_grad():
+                scores = np.asarray(
+                    self.model.all_scores(users), dtype=np.float64
+                )
+            lengths = mask.sum(axis=1)
             self.scored_items += int(lengths.sum())
             self.queries += len(users)
             for length in lengths:
                 metrics.histogram("retrieval.shortlist_items").observe(
                     float(length)
                 )
-        return scores
+            return np.where(mask, scores, -np.inf)
 
 
 @shared_state(guard="_lock")

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
+import repro.bench.__main__ as bench_main
 from repro.bench.__main__ import build_parser, main
+from repro.bench.hotpaths import run_hotpath_suite
 
 
 class TestParser:
@@ -30,7 +34,15 @@ class TestMain:
         assert "gate skipped" in out
         assert "hot-path smoke OK" in out
 
-    def test_update_baseline_then_gate(self, tmp_path, capsys):
+    def test_update_baseline_then_gate(self, tmp_path, capsys, monkeypatch):
+        # The test covers the update -> gate plumbing, not the host's
+        # speed: both runs see one fixed measurement, so a noisy
+        # single-repeat timing cannot trip the 2x throughput gate.
+        measured = run_hotpath_suite(scale=0.05, repeats=1)
+        monkeypatch.setattr(
+            bench_main, "run_hotpath_suite",
+            lambda **kwargs: copy.deepcopy(measured),
+        )
         baseline = str(tmp_path / "base.json")
         assert main(["smoke", *self.SMALL, "--baseline", baseline,
                      "--update-baseline"]) == 0

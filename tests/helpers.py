@@ -1,5 +1,6 @@
 """Shared test utilities: numerical gradient checking, tiny datasets,
-and primitive-chain references for the single-node loss ops."""
+primitive-chain references for the single-node loss ops, and the
+union-of-members shortlist reference for retrieval."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import pytest
 from repro.core import intent_view
 from repro.core.alignment import IntentAlignment, relatedness_weights
 from repro.data import TagRecDataset
-from repro.nn import Tensor, stack
+from repro.nn import Tensor, no_grad, stack
 from repro.nn import functional as F
 
 
@@ -197,3 +198,46 @@ def reference_ops(enabled: bool = True):
                 IntentAlignment, "alignment_loss", reference_alignment_loss
             )
         yield
+
+
+# ----------------------------------------------------------------------
+# retrieval references: the union-of-members shortlist and the per-pair
+# scoring the dense ``candidate_mask`` path must agree with
+# ----------------------------------------------------------------------
+def reference_shortlists(
+    index, user_matrix: np.ndarray, n_probe: int
+) -> list:
+    """Per-row shortlists as the union of each probed partition's
+    members with the popular head (sorted, duplicates dropped)."""
+    return [
+        np.unique(
+            np.concatenate(
+                [np.flatnonzero(index.item_partitions == part) for part in row]
+                + [index.popular_head]
+            )
+        )
+        for row in index.route(user_matrix, n_probe)
+    ]
+
+
+def reference_mask(
+    index, user_matrix: np.ndarray, n_probe: int
+) -> np.ndarray:
+    """:func:`reference_shortlists` as a ``(B, |V|)`` boolean mask."""
+    lists = reference_shortlists(index, user_matrix, n_probe)
+    mask = np.zeros((len(lists), index.num_items), dtype=bool)
+    for row, items in enumerate(lists):
+        mask[row, items] = True
+    return mask
+
+
+def reference_pair_scores(
+    model, users: np.ndarray, mask: np.ndarray
+) -> np.ndarray:
+    """``model.pair_scores`` on every masked ``(user, item)`` pair,
+    ``-inf`` elsewhere: the flat pair-gather scoring of the shortlist."""
+    rows, items = np.nonzero(mask)
+    scores = np.full(mask.shape, -np.inf)
+    with no_grad():
+        scores[rows, items] = model.pair_scores(users[rows], items).data
+    return scores

@@ -15,7 +15,7 @@ from repro.retrieval import (
     model_fingerprint,
 )
 
-from ..helpers import tiny_dataset
+from ..helpers import reference_mask, reference_shortlists, tiny_dataset
 from .conftest import HEAD_SIZE, NUM_ITEMS, NUM_PARTITIONS
 
 
@@ -39,6 +39,10 @@ class TestExactIndex:
         assert len(lists) == 3
         for shortlist in lists:
             np.testing.assert_array_equal(shortlist, np.arange(NUM_ITEMS))
+
+    def test_mask_is_all_true(self, model):
+        mask = ExactIndex.build(model).candidate_mask(np.zeros((3, 4)), 1)
+        assert mask.shape == (3, NUM_ITEMS) and mask.all()
 
     def test_rejects_empty_catalogue(self):
         with pytest.raises(ValueError, match="num_items"):
@@ -93,6 +97,57 @@ class TestRouting:
         user = np.ones(index.centroids.shape[1]) * -5.0
         shortlist = index.candidates(user, n_probe=1)
         assert set(index.popular_head.tolist()) <= set(shortlist.tolist())
+
+
+def random_index(seed: int, num_items: int = 80, num_partitions: int = 9):
+    """An index with empty partitions and a head that overlaps them."""
+    rng = np.random.default_rng(seed)
+    # Only a random subset of partition ids is ever used.
+    used = rng.choice(num_partitions, size=num_partitions // 2, replace=False)
+    partitions = rng.choice(used, size=num_items)
+    head = rng.choice(num_items, size=7, replace=False)
+    return ClusterIndex(
+        partitions, rng.normal(size=(num_partitions, 5)), popular_head=head
+    )
+
+
+class TestCandidateMask:
+    """The vectorized mask against the union-of-members reference."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_union_of_members(self, seed):
+        index = random_index(seed)
+        non_empty = int((index.partition_sizes > 0).sum())
+        assert non_empty < index.num_partitions  # empty partitions exist
+        users = np.random.default_rng(seed + 100).normal(size=(11, 5))
+        for n_probe in range(1, index.num_partitions + 2):
+            expected = reference_shortlists(index, users, n_probe)
+            np.testing.assert_array_equal(
+                index.candidate_mask(users, n_probe),
+                reference_mask(index, users, n_probe),
+            )
+            lists = index.candidate_lists(users, n_probe)
+            assert len(lists) == len(expected)
+            for row, (got, want) in enumerate(zip(lists, expected)):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(
+                    index.candidates(users[row], n_probe), want
+                )
+
+    def test_head_overlapping_probed_partition_counted_once(self):
+        index = ClusterIndex(
+            np.array([0, 0, 1, 1]), np.eye(2), popular_head=np.array([1, 2])
+        )
+        user = np.array([1.0, 0.0])  # routes to partition 0
+        np.testing.assert_array_equal(
+            index.candidate_mask(user, 1), [[True, True, True, False]]
+        )
+        np.testing.assert_array_equal(index.candidates(user, 1), [0, 1, 2])
+
+    def test_probing_past_non_empty_partitions_covers_catalogue(self):
+        index = random_index(0)
+        users = np.random.default_rng(1).normal(size=(4, 5))
+        assert index.candidate_mask(users, index.num_partitions + 5).all()
 
 
 class TestBuildIndex:

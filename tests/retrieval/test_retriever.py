@@ -3,17 +3,23 @@ escalation, staleness."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import IMCAT, IMCATConfig
+from repro.models import BPRMF, LightGCN, NeuMF
 from repro.retrieval import (
     ApproximateScorer,
     ExactIndex,
     IndexMismatch,
     Retriever,
     build_index,
+    user_vectors,
 )
 
+from ..helpers import reference_mask, reference_pair_scores
 from .conftest import NUM_ITEMS, NUM_PARTITIONS, NUM_USERS
 
 TOP_K = 10
@@ -46,10 +52,89 @@ class TestExactAgreement:
             model, index, n_probe=index.num_partitions
         )
         users = np.arange(NUM_USERS)
-        np.testing.assert_allclose(
-            scorer.all_scores(users), model.all_scores(users),
-            atol=1e-12,
+        np.testing.assert_array_equal(
+            scorer.all_scores(users), model.all_scores(users)
         )
+
+
+def _imcat_over_lightgcn(dataset, split, rng):
+    backbone = LightGCN(
+        dataset.num_users, dataset.num_items,
+        (split.train.user_ids, split.train.item_ids), 16, rng=rng,
+    )
+    model = IMCAT(
+        backbone, dataset, split.train, IMCATConfig(num_intents=4), rng=rng
+    )
+    # Stand-in for a fitted clustering phase: random hard tag clusters
+    # give the intent strategy a partition to route through.
+    model.clustering_active = True
+    model.tag_clusters = rng.integers(0, 4, size=dataset.num_tags)
+    return model, "intent"
+
+
+SCORING_MODELS = {
+    "bprmf": lambda dataset, split, rng: (
+        BPRMF(dataset.num_users, dataset.num_items, 16, rng), "kmeans"
+    ),
+    "imcat-lightgcn": _imcat_over_lightgcn,
+    # Not a dot product: its dense path is a factorised MLP.
+    "neumf": lambda dataset, split, rng: (
+        NeuMF(dataset.num_users, dataset.num_items, 16, rng=rng), "kmeans"
+    ),
+}
+
+
+class TestDenseScorerEquivalence:
+    """The scorer is the model's dense scores under the shortlist mask."""
+
+    @pytest.mark.parametrize("name", sorted(SCORING_MODELS))
+    def test_every_n_probe(self, name, small_dataset, small_split):
+        model, strategy = SCORING_MODELS[name](
+            small_dataset, small_split, np.random.default_rng(5)
+        )
+        model.eval()
+        index = build_index(
+            model,
+            num_partitions=6,
+            strategy=strategy,
+            popularity=small_split.train.item_degrees(),
+            popular_head=8,
+            seed=0,
+        )
+        assert index.strategy == strategy
+        users = np.arange(small_dataset.num_users)
+        vectors = user_vectors(model, users)
+        dense = model.all_scores(users)
+        for n_probe in range(1, index.num_partitions + 1):
+            mask = reference_mask(index, vectors, n_probe)
+            got = ApproximateScorer(model, index, n_probe).all_scores(users)
+            np.testing.assert_array_equal(
+                got, np.where(mask, dense, -np.inf)
+            )
+            # The per-pair scores the shortlist used to be scored with.
+            pairs = reference_pair_scores(model, users, mask)
+            np.testing.assert_array_equal(np.isfinite(got), mask)
+            np.testing.assert_allclose(
+                got[mask], pairs[mask], rtol=0.0, atol=1e-12
+            )
+
+
+def test_all_scores_memory_is_linear_in_the_score_matrix():
+    """One call allocates O(B·|V|), never O(B·|V|·d) pair operands."""
+    batch, num_items, dim = 256, 1000, 16
+    model = BPRMF(batch, num_items, dim, rng=np.random.default_rng(0))
+    index = build_index(model, num_partitions=4, seed=0)
+    # Full probe: the widest shortlist, where a pair gather would
+    # materialise two (B·|V|, d) operands.
+    scorer = ApproximateScorer(model, index, n_probe=index.num_partitions)
+    users = np.arange(batch)
+    tracemalloc.start()
+    try:
+        scorer.all_scores(users)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * batch * num_items * 8, peak
 
 
 class TestMonotonicity:
@@ -135,7 +220,7 @@ class TestScorerAccounting:
         scores = scorer.all_scores(users)
         assert scores.shape == (NUM_USERS, NUM_ITEMS)
         assert scorer.queries == NUM_USERS
-        # Sub-linear: strictly fewer pairwise scores than brute force.
+        # Routing width: strictly fewer shortlisted entries than items.
         assert 0 < scorer.scored_items < NUM_USERS * NUM_ITEMS
         # Off-shortlist columns are -inf, shortlist ones finite.
         finite = np.isfinite(scores).sum()
