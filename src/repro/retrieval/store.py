@@ -3,10 +3,19 @@
 An index file rides next to the model snapshots it was built from:
 ``index-<step>.npz`` in the same directory, written with the same
 atomic temp-file + ``os.replace`` protocol and the same loss-free
-:func:`repro.ckpt.encode_state` payload (carrying its own SHA-256), so
+:func:`repro.ckpt.encode_state` payload as the snapshots, so
 :class:`repro.serve.CheckpointModelProvider` can promote a checkpoint
-and its index as one unit: load the matching index if one round-trips
-cleanly, rebuild and save it back otherwise.
+and its index as one unit: load the matching index if its checksum
+holds, rebuild and save it back otherwise.
+
+The file is an envelope ``{"sha256", "body"}``: ``body`` is the encoded
+index state as ``uint8`` bytes and ``sha256`` its digest, so a load
+verifies the very bytes that were checksummed and never re-encodes.
+Like every :mod:`repro.ckpt` payload the archive members are stored
+uncompressed (about 6% more disk than deflate, for a write at disk
+speed).  An index written in the older envelope (``{"sha256",
+"index"}``, checksummed over a re-encoding) is a miss, rebuilt and saved
+back in this form by the provider.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ import os
 import re
 import warnings
 from typing import Optional
+
+import numpy as np
 
 from ..ckpt import checksum, decode_state, encode_state
 from .index import ClusterIndex
@@ -33,13 +44,15 @@ def index_path(directory: str, step: int) -> str:
 def save_index(index: ClusterIndex, directory: str, step: int = 0) -> str:
     """Atomically persist ``index`` next to checkpoint ``step``.
 
-    The payload embeds its own checksum so a torn write is detected at
-    load time and treated as a miss (rebuild), never an error.
+    The payload embeds the checksum of its body so a torn write is
+    detected at load time and treated as a miss (rebuild), never an
+    error.
     """
     os.makedirs(directory, exist_ok=True)
-    state = index.state_dict()
-    body = encode_state(state)
-    payload = encode_state({"sha256": checksum(body), "index": state})
+    body = encode_state(index.state_dict())
+    payload = encode_state(
+        {"sha256": checksum(body), "body": np.frombuffer(body, dtype=np.uint8)}
+    )
     path = index_path(directory, step)
     tmp = f"{path}{_TMP_SUFFIX}"
     with open(tmp, "wb") as handle:
@@ -81,10 +94,12 @@ def load_index(
             with open(path, "rb") as handle:
                 data = handle.read()
             envelope = decode_state(data)
-            body = encode_state(envelope["index"])
+            if "body" not in envelope:
+                raise ValueError("older index envelope without a body checksum")
+            body = envelope["body"].tobytes()
             if checksum(body) != envelope["sha256"]:
                 raise ValueError("payload checksum mismatch (torn write)")
-            index = ClusterIndex.from_state(envelope["index"])
+            index = ClusterIndex.from_state(decode_state(body))
         except Exception as err:
             warnings.warn(
                 f"skipping unusable retrieval index {path!r}: {err}",

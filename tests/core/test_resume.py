@@ -10,6 +10,7 @@ this must survive simulated crashes mid-epoch and mid-checkpoint-write
 from __future__ import annotations
 
 import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from repro.ckpt import CheckpointError, CheckpointManager, checksum
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
 from repro.data import generate_preset, split_dataset
 from repro.models import BPRMF, TrainConfig, fit_bpr
+
+from ..helpers import legacy_checkpoints
 
 EPOCHS = 6
 HALT = 4  # epoch boundary the interrupted runs checkpoint/resume across
@@ -256,6 +259,40 @@ class TestBitExactResumeIMCAT:
         # Resuming at the phase boundary must replay K-means warm-start
         # identically (same RNG stream position).
         assert_states_equal(full_model, resumed_model)
+        assert resumed.history == full.history
+
+    def test_resume_from_legacy_deflate_snapshot(self, resume_split, tmp_path):
+        # Snapshots written while payloads were deflate-compressed must
+        # resume into the same bits as an uninterrupted run.
+        _, split = resume_split
+        full_model = make_imcat(resume_split)
+        full = IMCATTrainer(full_model, split, imcat_config(epochs=EPOCHS)).fit()
+
+        with legacy_checkpoints():
+            IMCATTrainer(
+                make_imcat(resume_split), split,
+                imcat_config(epochs=HALT, checkpoint_dir=str(tmp_path),
+                             checkpoint_every=2),
+            ).fit()
+        for entry in CheckpointManager(str(tmp_path)).entries():
+            with zipfile.ZipFile(tmp_path / entry["file"]) as archive:
+                kinds = {info.compress_type for info in archive.infolist()}
+            assert kinds == {zipfile.ZIP_DEFLATED}
+        resumed_model = make_imcat(resume_split)
+        resumed = IMCATTrainer(
+            resumed_model, split,
+            imcat_config(epochs=EPOCHS, checkpoint_dir=str(tmp_path),
+                         resume_from="auto"),
+        ).fit()
+        # It resumed from the legacy snapshot: only the epochs past HALT
+        # ran, not a fresh run reaching the same bits.
+        steps = full.perf.counters["steps"]
+        assert resumed.perf.counters["steps"] == steps * (EPOCHS - HALT) // EPOCHS
+        assert_states_equal(full_model, resumed_model)
+        np.testing.assert_array_equal(
+            full_model.tag_clusters, resumed_model.tag_clusters
+        )
+        assert resumed.best_metric == full.best_metric
         assert resumed.history == full.history
 
 

@@ -1,15 +1,21 @@
 """Shared test utilities: numerical gradient checking, tiny datasets,
-primitive-chain references for the single-node loss ops, and the
-union-of-members shortlist reference for retrieval."""
+primitive-chain references for the single-node loss ops, the
+union-of-members shortlist reference for retrieval, and the legacy
+deflate checkpoint encoder."""
 
 from __future__ import annotations
 
 import contextlib
+import io
+import json
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import pytest
 
+from repro.ckpt import manager as ckpt_manager
+from repro.ckpt.serialize import FORMAT_VERSION, TREE_KEY
+from repro.ckpt.serialize import _encode as _encode_tree
 from repro.core import intent_view
 from repro.core.alignment import IntentAlignment, relatedness_weights
 from repro.data import TagRecDataset
@@ -241,3 +247,56 @@ def reference_pair_scores(
     with no_grad():
         scores[rows, items] = model.pair_scores(users[rows], items).data
     return scores
+
+
+# ----------------------------------------------------------------------
+# legacy checkpoint payloads: what ``encode_state`` wrote before it
+# switched to stored (uncompressed) zip members
+# ----------------------------------------------------------------------
+def legacy_encode_state(state) -> bytes:
+    """``encode_state`` as it was when payloads were deflate-compressed:
+    the same tree walk and structure document, written with
+    ``np.savez_compressed``.  ``decode_state`` must keep reading it."""
+    arrays = {}
+    tree = _encode_tree(state, arrays)
+    document = json.dumps({"version": FORMAT_VERSION, "tree": tree})
+    arrays[TREE_KEY] = np.frombuffer(document.encode("utf-8"), dtype=np.uint8)
+    buffer = io.BytesIO()
+    np.savez_compressed(buffer, **arrays)
+    return buffer.getvalue()
+
+
+@contextlib.contextmanager
+def legacy_checkpoints():
+    """Make every :class:`repro.ckpt.CheckpointManager` save write
+    legacy deflate payloads while active."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ckpt_manager, "encode_state", legacy_encode_state)
+        yield
+
+
+def legacy_fixture_state() -> dict:
+    """The tree committed as ``tests/fixtures/ckpt_v1_deflate.npz``
+    (``legacy_encode_state`` of this value).
+
+    It covers every node tag (``d``, ``l``, ``tu``, ``nd``, ``v``),
+    float64 bits JSON and zip must both carry verbatim (NaN, -0.0, inf,
+    a subnormal), an int64 array, NumPy scalars, and a PCG64 state whose
+    128-bit words only survive as JSON integers.
+    """
+    rng = np.random.default_rng(20231)
+    rng.integers(0, 100, size=5)
+    return {
+        "step": 7,
+        "loss": 0.1,
+        "name": "fixture",
+        "flags": [True, False, None],
+        "weights": np.array(
+            [[np.nan, -0.0, 0.0, np.inf], [-np.inf, 5e-324, np.pi, -1.5]]
+        ),
+        "ids": np.arange(-3, 5, dtype=np.int64),
+        "scalars": {"f": np.float64(-0.0), "i": np.int64(-(2**40))},
+        "nested": [1, (2.5, np.array([np.nan, 1.0])), ["x", {}]],
+        "pair": (np.zeros((0, 2)), ()),
+        "rng": rng.bit_generator.state,
+    }

@@ -7,12 +7,19 @@ import os
 import numpy as np
 import pytest
 
+from repro.ckpt import checksum, encode_state
 from repro.retrieval import (
     index_path,
     load_index,
     prune_indexes,
     save_index,
 )
+from repro.retrieval import store
+
+
+def _write_envelope(directory, step, envelope) -> None:
+    with open(index_path(str(directory), step), "wb") as handle:
+        handle.write(encode_state(envelope))
 
 
 class TestRoundTrip:
@@ -49,8 +56,42 @@ class TestRoundTrip:
         assert load_index(str(tmp_path), step=3) is not None
         assert load_index(str(tmp_path), step=4) is None
 
+    def test_load_verifies_the_saved_body_without_re_encoding(
+        self, index, tmp_path, monkeypatch
+    ):
+        save_index(index, str(tmp_path), step=1)
+        calls = []
+
+        def counting_encode(state):
+            calls.append(state)
+            return encode_state(state)
+
+        monkeypatch.setattr(store, "encode_state", counting_encode)
+        loaded = load_index(str(tmp_path))
+        assert loaded is not None
+        assert loaded.fingerprint == index.fingerprint
+        assert calls == []
+
 
 class TestCorruption:
+    def test_flipped_body_bit_is_a_miss_with_warning(self, index, tmp_path):
+        good = encode_state(index.state_dict())
+        body = np.frombuffer(good, dtype=np.uint8).copy()
+        body[len(body) // 2] ^= 0b100
+        _write_envelope(tmp_path, 1, {"sha256": checksum(good), "body": body})
+        with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+            assert load_index(str(tmp_path)) is None
+
+    def test_older_envelope_is_a_miss_with_warning(self, index, tmp_path):
+        # Indexes saved before the envelope carried its body bytes held
+        # the decoded state under "index"; they are rebuilt, not trusted.
+        state = index.state_dict()
+        _write_envelope(
+            tmp_path, 1, {"sha256": checksum(encode_state(state)), "index": state}
+        )
+        with pytest.warns(RuntimeWarning, match="older index envelope"):
+            assert load_index(str(tmp_path)) is None
+
     def test_torn_write_skipped_with_warning(self, index, tmp_path):
         path = save_index(index, str(tmp_path), step=1)
         payload = open(path, "rb").read()

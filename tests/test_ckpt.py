@@ -5,8 +5,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import struct
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,12 @@ from repro.ckpt import (
 from repro.core import IMCATConfig, IMCATTrainConfig
 from repro.models import TrainConfig
 from repro.nn import SGD, Adam, CosineAnnealing, Parameter
+
+from .helpers import legacy_checkpoints, legacy_fixture_state
+
+#: Written by the deflate-era ``encode_state`` from
+#: ``legacy_fixture_state()``; it must keep decoding bit-exactly.
+LEGACY_FIXTURE = Path(__file__).parent / "fixtures" / "ckpt_v1_deflate.npz"
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +98,52 @@ class TestSerialize:
         with pytest.raises(CheckpointError, match="cannot read"):
             read_checkpoint(str(path))
 
+    def test_payload_members_are_stored_uncompressed(self):
+        state = {"w": np.ones((8, 8)), "i": np.arange(4), "rest": [1, "x"]}
+        with zipfile.ZipFile(io.BytesIO(encode_state(state))) as archive:
+            members = archive.infolist()
+        assert len(members) == 3
+        for info in members:
+            assert info.compress_type == zipfile.ZIP_STORED, info.filename
+
+
+def _assert_identical(actual, expected, where="state"):
+    """Same tree, same Python types, same float64 bits (NaN and -0.0
+    included); NumPy scalars on the ``expected`` side compare as the
+    Python values ``decode_state`` returns for them."""
+    if isinstance(expected, np.generic):
+        expected = expected.item()
+    if isinstance(expected, np.ndarray):
+        assert isinstance(actual, np.ndarray), where
+        assert actual.dtype == expected.dtype, where
+        assert actual.shape == expected.shape, where
+        assert actual.tobytes() == expected.tobytes(), where
+        return
+    assert type(actual) is type(expected), where
+    if isinstance(expected, dict):
+        assert list(actual) == list(expected), where
+        for key in expected:
+            _assert_identical(actual[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, (list, tuple)):
+        assert len(actual) == len(expected), where
+        for i, (a, e) in enumerate(zip(actual, expected)):
+            _assert_identical(a, e, f"{where}[{i}]")
+    elif isinstance(expected, float):
+        assert struct.pack("<d", actual) == struct.pack("<d", expected), where
+    else:
+        assert actual == expected, where
+
+
+class TestLegacyPayloads:
+    """Payloads written while members were deflate-compressed."""
+
+    def test_fixture_decodes_bit_exactly(self):
+        data = LEGACY_FIXTURE.read_bytes()
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_DEFLATED}
+        _assert_identical(decode_state(data), legacy_fixture_state())
+
 
 class TestConfigFingerprint:
     def test_stable_and_order_insensitive(self):
@@ -151,16 +205,23 @@ class TestFailClosed:
             "nested": [1, 2.5, "x", (np.arange(3),)],
             "rng": rng_state(np.random.default_rng(1)),
         }
-        outcomes = {"decoded": 0, "rejected": 0}
-        for kind, data in _mutations(encode_state(state), seed=2024, count=900):
-            try:
-                decoded = decode_state(data)
-            except ValueError:
-                outcomes["rejected"] += 1
-            else:
-                assert isinstance(decoded, dict), kind
-                outcomes["decoded"] += 1
-        assert outcomes["rejected"] > 0
+        # The stored form encode_state writes, and the deflate form it
+        # wrote before (which still decodes).
+        payloads = {
+            "stored": encode_state(state),
+            "legacy": LEGACY_FIXTURE.read_bytes(),
+        }
+        for form, payload in payloads.items():
+            outcomes = {"decoded": 0, "rejected": 0}
+            for kind, data in _mutations(payload, seed=2024, count=900):
+                try:
+                    decoded = decode_state(data)
+                except ValueError:
+                    outcomes["rejected"] += 1
+                else:
+                    assert isinstance(decoded, dict), (form, kind)
+                    outcomes["decoded"] += 1
+            assert outcomes["rejected"] > 0, form
 
     @pytest.mark.parametrize(
         "document",
@@ -188,17 +249,17 @@ class TestFailClosed:
 
     def test_torn_manifest_and_flipped_snapshot_are_skipped(self, tmp_path):
         manager = CheckpointManager(str(tmp_path), keep_last=5)
-        manager.save({"step": 1, "w": np.ones(64)}, step=1)
-        manager.save({"step": 2, "w": np.zeros(64)}, step=2)
+        # Legacy deflate payloads, so the flip below reaches zlib.
+        with legacy_checkpoints():
+            manager.save({"step": 1, "w": np.ones(64)}, step=1)
+            manager.save({"step": 2, "w": np.zeros(64)}, step=2)
         newest = tmp_path / manager.entries()[-1]["file"]
         data = bytearray(newest.read_bytes())
         # Flip the first deflate block of the structure document to the
         # reserved block type: zlib then fails mid-read with zlib.error.
-        with zipfile.ZipFile(newest) as archive:
-            info = archive.getinfo("__tree__.npy")
-        start = info.header_offset + 30 + len(info.filename)
-        start += int.from_bytes(data[info.header_offset + 28:][:2], "little")
-        data[start] |= 0b110
+        info = _member(newest, "__tree__.npy")
+        assert info.compress_type == zipfile.ZIP_DEFLATED
+        data[_member_data_offset(data, info)] |= 0b110
         newest.write_bytes(bytes(data))
         manifest = tmp_path / "manifest.json"
         manifest.write_bytes(manifest.read_bytes()[:40])
@@ -210,8 +271,37 @@ class TestFailClosed:
         assert all(w.category is RuntimeWarning for w in caught)
         assert any("manifest" in m and "corrupt" in m for m in messages)
         assert any("skipping unreadable" in m for m in messages)
+        assert any("while decompressing" in m for m in messages)  # zlib.error
         assert [entry["step"] for entry in rebuilt.entries()] == [1]
         assert rebuilt.load_latest().step == 1
+
+    def test_flipped_bit_in_stored_member_fails_its_crc(self, tmp_path):
+        # The stored twin of the deflate flip above: read_checkpoint has
+        # no manifest checksum to lean on, so the zip CRC-32 must catch
+        # a flipped bit inside an array member's raw bytes.
+        path = CheckpointManager(str(tmp_path)).save(
+            {"step": 1, "w": np.ones(64)}, step=1
+        )
+        data = bytearray(Path(path).read_bytes())
+        info = _member(path, "a0.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
+        # The last byte of the member is array data, past the npy header.
+        data[_member_data_offset(data, info) + info.file_size - 1] ^= 0b1000
+        Path(path).write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match="Bad CRC-32"):
+            read_checkpoint(path)
+
+
+def _member(path, name) -> zipfile.ZipInfo:
+    with zipfile.ZipFile(path) as archive:
+        return archive.getinfo(name)
+
+
+def _member_data_offset(data, info) -> int:
+    """Offset of a member's (possibly compressed) bytes: past its
+    30-byte local header, file name and extra field."""
+    extra = int.from_bytes(data[info.header_offset + 28:][:2], "little")
+    return info.header_offset + 30 + len(info.filename) + extra
 
 
 class TestOptimizerState:
