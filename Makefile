@@ -12,7 +12,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: lint test bench bench-smoke bench-hotpaths baseline train-resume serve-smoke load-smoke proc-smoke obs-smoke retrieval-smoke concurrency-smoke
+.PHONY: lint test bench bench-smoke bench-hotpaths baseline train-resume serve-smoke load-smoke proc-smoke obs-smoke retrieval-smoke concurrency-smoke examples
 
 lint:
 	$(PYTHON) -m repro.lint src tests benchmarks examples
@@ -113,3 +113,13 @@ obs-smoke:
 	$(PYTHON) -m repro.obs report .obs-smoke/trace.jsonl \
 		--metrics .obs-smoke/metrics.prom
 	rm -rf .obs-smoke
+
+# Examples smoke: every script under examples/ must run to completion.
+# Together they drive the library boundary end to end (every graph
+# backbone, save/load, serving, explain_pair), which no unit test runs
+# as a whole; each script gets a hard wall-clock timeout.
+examples:
+	@for script in examples/*.py; do \
+		echo "== $$script"; \
+		timeout 300 $(PYTHON) $$script || exit 1; \
+	done

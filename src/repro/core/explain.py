@@ -55,7 +55,6 @@ def explain_pair(model: IMCAT, user: int, item: int) -> IntentExplanation:
     """
     k = model.config.num_intents
     with no_grad():
-        model.begin_step()
         u_vec = model.backbone.user_repr().data[user]
         v_vec = model.backbone.item_repr().data[item]
     u_blocks = split_intents(u_vec[None, :], k)[0]  # (K, d/K)

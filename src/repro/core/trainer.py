@@ -251,7 +251,6 @@ class IMCATTrainer:
             step = resumed["step"]
             epochs_run = resumed["epochs_run"]
             start_epoch = resumed["epoch"]
-            model.begin_step()
         else:
             # Phase-1 alignment uses a single degenerate cluster; build
             # the ISA index for it once.
@@ -340,7 +339,6 @@ class IMCATTrainer:
                 metrics.gauge("trainer.loss").set(record["loss"])
                 if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
                     model.eval()
-                    model.begin_step()
                     with perf.timed("eval"):
                         with tracer.span("eval") as eval_span:
                             result = self.evaluator.evaluate(
@@ -389,7 +387,6 @@ class IMCATTrainer:
 
         if best_state is not None:
             model.load_state_dict(best_state)
-            model.begin_step()
         model.eval()
         return IMCATTrainResult(
             best_metric=float(best_metric) if best_metric > -np.inf else 0.0,

@@ -3,23 +3,33 @@
 IMCAT is model-agnostic (Section IV): any model exposing user/item
 representations and a pairwise scorer can be wrapped.  The contract is:
 
-- ``user_repr()`` / ``item_repr()`` — *final* representations as autograd
-  tensors (after propagation for GNN models);
+- ``propagate()`` — the one method a graph model overrides: its final
+  ``(users, items[, tags])`` representations as autograd tensors.  The
+  default returns the two embedding tables;
+- ``user_repr()`` / ``item_repr()`` — the first two entries of the
+  cached ``propagate()`` result;
 - ``pair_scores(users, items)`` — differentiable relevance scores
   ``ŷ_{uv}`` for index arrays;
 - ``bpr_loss(batch)`` — the ranking loss of Eq. (1) on a triplet batch;
 - ``all_scores(users)`` — dense evaluation scores without gradients.
+
+One cache holds the ``propagate()`` result, and every reader above
+(plus retrieval and serving, through them) shares it.  It is reused
+until an optimizer step, :meth:`~repro.nn.Module.load_state_dict`, a
+``begin_step()`` call, or a change of the calling thread's grad mode.
+Code that writes parameter ``.data`` directly, or rebuilds a graph that
+``propagate()`` reads, must call ``begin_step()`` afterwards.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..data.dataset import TagRecDataset
 from ..data.sampling import TripletBatch
-from ..nn import Embedding, Module, Tensor, no_grad
+from ..nn import Embedding, Module, Tensor, is_grad_enabled, no_grad
 from ..nn import functional as F
 
 
@@ -47,25 +57,53 @@ class Recommender(Module):
         self.embed_dim = embed_dim
         self.user_embedding = Embedding(num_users, embed_dim, rng)
         self.item_embedding = Embedding(num_items, embed_dim, rng)
+        self._cache: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # representations
     # ------------------------------------------------------------------
+    def propagate(self) -> Tuple[Tensor, ...]:
+        """Final ``(users, items[, tags])`` representations.
+
+        Graph models override this; the default is the embedding
+        tables themselves.
+        """
+        return self.user_embedding.all(), self.item_embedding.all()
+
+    def _cached(self) -> Tuple[Tensor, ...]:
+        """The :meth:`propagate` result for the current parameters.
+
+        The entry is keyed on the grad mode it was built under and the
+        version of every parameter.  It is published with one attribute
+        assignment, so concurrent readers see a whole entry or none, and
+        two threads racing to fill it compute the same values.
+        """
+        key = (
+            is_grad_enabled(),
+            tuple(param.version for param in self.parameters()),
+        )
+        entry = self._cache
+        if entry is None or entry[0] != key:
+            entry = (key, self.propagate())
+            self._cache = entry
+        return entry[1]
+
     def user_repr(self) -> Tensor:
         """Final user representations ``(|U|, d)`` (autograd tensor)."""
-        return self.user_embedding.all()
+        return self._cached()[0]
 
     def item_repr(self) -> Tensor:
         """Final item representations ``(|V|, d)`` (autograd tensor)."""
-        return self.item_embedding.all()
+        return self._cached()[1]
 
     def refresh_epoch(self, epoch: int) -> None:
         """Hook called at the start of each epoch (e.g. to re-sample
         augmented graphs in SSL baselines).  Default: no-op."""
 
     def begin_step(self) -> None:
-        """Hook called before each training step.  GNN models use it to
-        drop cached propagations so each step builds a fresh graph."""
+        """Drop the cached propagation.  Called before each training
+        step, so one step's graph never feeds the next step's backward."""
+        self._cache = None
 
     # ------------------------------------------------------------------
     # non-parameter state
@@ -125,9 +163,8 @@ class Recommender(Module):
     def all_scores(self, users: np.ndarray) -> np.ndarray:
         """Dense scores for evaluation; gradients are not recorded."""
         with no_grad():
-            u = self.user_repr().data[users]
-            v = self.item_repr().data
-            return u @ v.T
+            users_final, items_final = self._cached()[:2]
+            return users_final.data[users] @ items_final.data.T
 
     def recommend(
         self,

@@ -62,7 +62,6 @@ class DGCF(Recommender):
         self._edges = (user_ids, item_ids)
         self._channel_adjs: list[sp.csr_matrix] | None = None
         self._block_adj: sp.csr_matrix | None = None
-        self._cache = None
         self.refresh_epoch(0)
 
     # ------------------------------------------------------------------
@@ -102,10 +101,7 @@ class DGCF(Recommender):
         # All K channels propagate through one block-diagonal operator
         # over channel-major stacked chunks (see propagate()).
         self._block_adj = sp.block_diag(adjs, format="csr")
-        self._cache = None
-
-    def begin_step(self) -> None:
-        self._cache = None
+        self.begin_step()
 
     # ------------------------------------------------------------------
     # propagation
@@ -170,17 +166,6 @@ class DGCF(Recommender):
         ]
         return users, items
 
-    def _cached(self):
-        if self._cache is None:
-            self._cache = self.propagate()
-        return self._cache
-
-    def user_repr(self) -> Tensor:
-        return self._cached()[0]
-
-    def item_repr(self) -> Tensor:
-        return self._cached()[1]
-
     def extra_loss(self, rng: np.random.Generator) -> Tensor:
         """Independence across intent chunks on a sampled item batch."""
         items = rng.choice(self.num_items, size=min(256, self.num_items),
@@ -190,8 +175,3 @@ class DGCF(Recommender):
             independence_loss(batch, self.num_intents, dim=self.intent_dim)
             * self.independence_weight
         )
-
-    def all_scores(self, users: np.ndarray) -> np.ndarray:
-        with no_grad():
-            u, v = self.propagate()
-            return u.data[users] @ v.data.T

@@ -64,7 +64,6 @@ class KGAT(TagAwareRecommender):
         self._adjacency: sp.csr_matrix | None = None
         self._pairs_items = dataset.tag_item_ids
         self._pairs_tags = dataset.tag_ids
-        self._cache = None
         self.refresh_epoch(0)
 
     def _collect_edges(self, dataset, user_ids, item_ids):
@@ -119,10 +118,7 @@ class KGAT(TagAwareRecommender):
                 shape=(self._num_nodes, self._num_nodes),
             ).tocsr()
             self._adjacency = row_normalize(adj)
-        self._cache = None
-
-    def begin_step(self) -> None:
-        self._cache = None
+        self.begin_step()
 
     def propagate(self):
         ego = concat(
@@ -149,17 +145,6 @@ class KGAT(TagAwareRecommender):
             final[np.arange(n_u + n_v, self._num_nodes)],
         )
 
-    def _cached(self):
-        if self._cache is None:
-            self._cache = self.propagate()
-        return self._cache
-
-    def user_repr(self) -> Tensor:
-        return self._cached()[0]
-
-    def item_repr(self) -> Tensor:
-        return self._cached()[1]
-
     def tag_repr(self) -> Tensor:
         return self._cached()[2]
 
@@ -178,8 +163,3 @@ class KGAT(TagAwareRecommender):
             return -(diff * diff).sum(axis=1)
 
         return F.bpr_loss(score(pos_tags), score(neg_tags)) * self.kg_weight
-
-    def all_scores(self, users: np.ndarray) -> np.ndarray:
-        with no_grad():
-            u, v, _ = self.propagate()
-            return u.data[users] @ v.data.T

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...data.dataset import TagRecDataset
-from ...nn import Parameter, Tensor, no_grad, sparse_matmul
+from ...nn import Parameter, Tensor, sparse_matmul
 from ...nn import functional as F
 from ...nn.init import xavier_uniform
 from ...nn.sparse import build_interaction_matrix, row_normalize
@@ -67,10 +67,6 @@ class KGIN(TagAwareRecommender):
         )
         self._u_from_v = row_normalize(ui)
         self._v_from_t = row_normalize(it)
-        self._cache = None
-
-    def begin_step(self) -> None:
-        self._cache = None
 
     def intent_vectors(self) -> Tensor:
         """``(K, d)`` intents as attentive combinations of tag embeddings."""
@@ -113,17 +109,6 @@ class KGIN(TagAwareRecommender):
         v_final = (v0 + v1) * 0.5
         return u_final, v_final
 
-    def _cached(self):
-        if self._cache is None:
-            self._cache = self.propagate()
-        return self._cache
-
-    def user_repr(self) -> Tensor:
-        return self._cached()[0]
-
-    def item_repr(self) -> Tensor:
-        return self._cached()[1]
-
     def independence_loss(self) -> Tensor:
         """Pairwise squared cosine between intent vectors.
 
@@ -139,8 +124,3 @@ class KGIN(TagAwareRecommender):
 
     def extra_loss(self, rng: np.random.Generator) -> Tensor:
         return self.independence_loss() * self.independence_weight
-
-    def all_scores(self, users: np.ndarray) -> np.ndarray:
-        with no_grad():
-            u, v = self.propagate()
-            return u.data[users] @ v.data.T

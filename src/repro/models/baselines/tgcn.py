@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...data.dataset import TagRecDataset
-from ...nn import Parameter, Tensor, no_grad, sparse_matmul
+from ...nn import Parameter, Tensor, sparse_matmul
 from ...nn import functional as F
 from ...nn.sparse import build_interaction_matrix, row_normalize
 from ..base import TagAwareRecommender
@@ -62,10 +62,6 @@ class TGCN(TagAwareRecommender):
         self._t_from_v = row_normalize(it.T.tocsr())  # tags <- items
         # Type-aware mixing weights (softmax over message types per layer).
         self.type_logits = Parameter(np.zeros((num_layers, 2)))
-        self._cache = None
-
-    def begin_step(self) -> None:
-        self._cache = None
 
     def propagate(self):
         """Type-aware message passing; returns (user, item, tag) tensors."""
@@ -95,21 +91,5 @@ class TGCN(TagAwareRecommender):
 
         return average(u_layers), average(v_layers), average(t_layers)
 
-    def _cached(self):
-        if self._cache is None:
-            self._cache = self.propagate()
-        return self._cache
-
-    def user_repr(self) -> Tensor:
-        return self._cached()[0]
-
-    def item_repr(self) -> Tensor:
-        return self._cached()[1]
-
     def tag_repr(self) -> Tensor:
         return self._cached()[2]
-
-    def all_scores(self, users: np.ndarray) -> np.ndarray:
-        with no_grad():
-            u, v, _ = self.propagate()
-            return u.data[users] @ v.data.T

@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..nn import Tensor, concat, sparse_matmul
-from ..nn import functional as F
 from ..nn.sparse import build_interaction_matrix, normalized_bipartite_adjacency
 from .base import Recommender
 
@@ -53,7 +52,6 @@ class LightGCN(Recommender):
                 np.asarray(user_ids), np.asarray(item_ids), num_users, num_items
             )
         self.adjacency = normalized_bipartite_adjacency(matrix)
-        self._propagated: tuple | None = None
 
     # ------------------------------------------------------------------
     # propagation
@@ -61,9 +59,8 @@ class LightGCN(Recommender):
     def propagate(self) -> tuple[Tensor, Tensor]:
         """Run ``num_layers`` propagation steps; returns (users, items).
 
-        The result participates in autograd; callers inside one training
-        step can reuse it via the per-step cache (reset on parameter
-        updates by calling :meth:`invalidate_cache`).
+        The result participates in autograd; readers share it through
+        the base class's cache (see :mod:`repro.models.base`).
         """
         ego = concat([self.user_embedding.all(), self.item_embedding.all()], axis=0)
         layers = [ego]
@@ -78,34 +75,3 @@ class LightGCN(Recommender):
         users = final[np.arange(self.num_users)]
         items = final[np.arange(self.num_users, self.num_users + self.num_items)]
         return users, items
-
-    def invalidate_cache(self) -> None:
-        """Drop the cached propagation (call after optimiser steps)."""
-        self._propagated = None
-
-    def begin_step(self) -> None:
-        self.invalidate_cache()
-
-    def _cached(self) -> tuple[Tensor, Tensor]:
-        if self._propagated is None:
-            self._propagated = self.propagate()
-        return self._propagated
-
-    def user_repr(self) -> Tensor:
-        return self._cached()[0]
-
-    def item_repr(self) -> Tensor:
-        return self._cached()[1]
-
-    def pair_scores(self, users: np.ndarray, items: np.ndarray) -> Tensor:
-        u_final, v_final = self._cached()
-        u = F.embedding_lookup(u_final, users)
-        v = F.embedding_lookup(v_final, items)
-        return (u * v).sum(axis=1)
-
-    def all_scores(self, users: np.ndarray) -> np.ndarray:
-        from ..nn import no_grad
-
-        with no_grad():
-            u_final, v_final = self.propagate()
-            return u_final.data[users] @ v_final.data.T

@@ -176,7 +176,6 @@ def _fit_bpr(
         step = resumed["step"]
         epochs_run = resumed["epochs_run"]
         start_epoch = resumed["epoch"]
-        model.begin_step()
 
     def snapshot(next_epoch: int) -> dict:
         """Full training state at an epoch boundary (bit-exact)."""
@@ -245,7 +244,6 @@ def _fit_bpr(
                     or epoch == config.epochs - 1
                 ):
                     model.eval()
-                    model.begin_step()
                     with tracer.span("eval", metric=metric_key):
                         result = evaluator.evaluate(model, tracer=tracer)
                     record[metric_key] = result[metric_key]
@@ -290,7 +288,6 @@ def _fit_bpr(
 
     if best_state is not None:
         model.load_state_dict(best_state)
-        model.begin_step()
     model.eval()
     return TrainResult(
         best_metric=float(best_metric) if best_metric > -np.inf else 0.0,

@@ -15,6 +15,10 @@ Public surface:
 - optimisers (:class:`Adam`, :class:`SGD`);
 - sparse graph operators (:func:`sparse_matmul`,
   :func:`normalized_bipartite_adjacency`, …).
+
+The grad mode and the anomaly mode are per-thread: a serving thread
+inside ``no_grad`` never switches recording off for a training thread,
+and every new thread starts with recording on and the sanitizer off.
 """
 
 from . import functional

@@ -8,18 +8,33 @@ for (de)serialisation.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
 from .tensor import Tensor
 
+# One counter for every parameter, so a replaced parameter never reuses
+# a version its predecessor had.
+_versions = itertools.count()
+
 
 class Parameter(Tensor):
-    """A tensor that is a trainable model parameter."""
+    """A tensor that is a trainable model parameter.
+
+    ``version`` changes whenever the library writes new values into
+    ``data`` (``SGD.step``, ``Adam.step``, :meth:`Module.load_state_dict`);
+    caches derived from parameters are keyed on it.
+    """
 
     def __init__(self, data) -> None:
         super().__init__(data, requires_grad=True)
+        self.bump_version()
+
+    def bump_version(self) -> None:
+        """Mark ``data`` as rewritten (call after writing it in place)."""
+        self.version = next(_versions)
 
 
 class Module:
@@ -102,6 +117,7 @@ class Module:
                     f"{param.data.shape} vs {array.shape}"
                 )
             param.data[...] = array
+            param.bump_version()
 
     # ------------------------------------------------------------------
     # call protocol

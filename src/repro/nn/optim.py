@@ -31,6 +31,13 @@ def _load_buffers(
         slot[...] = array
 
 
+def _mark_written(param) -> None:
+    """Bump a parameter's version after a step rewrote its data (plain
+    tensors can be optimised too, but carry no version)."""
+    if isinstance(param, Parameter):
+        param.bump_version()
+
+
 class Optimizer:
     """Base class holding the parameter list and zero-grad logic."""
 
@@ -94,6 +101,7 @@ class SGD(Optimizer):
                 vel += grad
                 grad = vel
             param.data -= self.lr * grad
+            _mark_written(param)
 
     def state_dict(self) -> Dict[str, object]:
         """Momentum buffers plus the (possibly scheduled) learning rate."""
@@ -153,6 +161,7 @@ class Adam(Optimizer):
             m_hat = m / bias1
             v_hat = v / bias2
             param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            _mark_written(param)
 
     def state_dict(self) -> Dict[str, object]:
         """First/second moments, step count, and current learning rate.

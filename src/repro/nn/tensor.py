@@ -19,14 +19,23 @@ reduced back to the operand's shape by :func:`unbroadcast`.
 from __future__ import annotations
 
 import functools
+import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_grad_enabled = True
-_anomaly_enabled = False
+
+class _Modes(threading.local):
+    """Per-thread autograd switches; the class attributes are the
+    defaults every new thread starts from."""
+
+    grad = True
+    anomaly = False
+
+
+_modes = _Modes()
 
 
 class set_grad_enabled:
@@ -35,7 +44,8 @@ class set_grad_enabled:
     Re-entrant: each ``__enter__`` pushes the previous mode onto an
     instance-local stack, so a single instance can be nested or reused
     (including recursively through the decorator form) without
-    clobbering the restore value.
+    clobbering the restore value.  The mode is per-thread: entering the
+    context in one thread never changes what another thread records.
     """
 
     _mode = True
@@ -46,14 +56,12 @@ class set_grad_enabled:
         self._stack: list[bool] = []
 
     def __enter__(self) -> "set_grad_enabled":
-        global _grad_enabled
-        self._stack.append(_grad_enabled)
-        _grad_enabled = self._mode
+        self._stack.append(_modes.grad)
+        _modes.grad = self._mode
         return self
 
     def __exit__(self, *exc) -> None:
-        global _grad_enabled
-        _grad_enabled = self._stack.pop()
+        _modes.grad = self._stack.pop()
 
     def __call__(self, fn: Callable) -> Callable:
         mode = self._mode
@@ -94,8 +102,9 @@ class enable_grad(set_grad_enabled):
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations are currently recorded on the tape."""
-    return _grad_enabled
+    """Return whether new operations are currently recorded on the tape
+    in the calling thread."""
+    return _modes.grad
 
 
 # ----------------------------------------------------------------------
@@ -131,15 +140,13 @@ class detect_anomaly:
         self._stack: list[bool] = []
 
     def __enter__(self) -> "detect_anomaly":
-        global _anomaly_enabled
-        self._stack.append(_anomaly_enabled)
+        self._stack.append(_modes.anomaly)
         if self._mode:
-            _anomaly_enabled = True
+            _modes.anomaly = True
         return self
 
     def __exit__(self, *exc) -> None:
-        global _anomaly_enabled
-        _anomaly_enabled = self._stack.pop()
+        _modes.anomaly = self._stack.pop()
 
     def __call__(self, fn: Callable) -> Callable:
         @functools.wraps(fn)
@@ -151,8 +158,9 @@ class detect_anomaly:
 
 
 def is_anomaly_enabled() -> bool:
-    """Return whether NaN/Inf tape sanitisation is currently active."""
-    return _anomaly_enabled
+    """Return whether NaN/Inf tape sanitisation is currently active in
+    the calling thread."""
+    return _modes.anomaly
 
 
 def _op_name(backward: Optional[Callable]) -> str:
@@ -311,9 +319,9 @@ class Tensor:
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
         """Create a result tensor, recording the tape only when needed."""
-        if _anomaly_enabled:
+        if _modes.anomaly:
             _check_forward(data, parents, backward)
-        if _grad_enabled and any(p.requires_grad for p in parents):
+        if _modes.grad and any(p.requires_grad for p in parents):
             return Tensor(data, requires_grad=True, _parents=parents, _backward=backward)
         return Tensor(data)
 
@@ -366,7 +374,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-                if _anomaly_enabled:
+                if _modes.anomaly:
                     _check_backward(node)
 
     # ------------------------------------------------------------------

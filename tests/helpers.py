@@ -249,6 +249,17 @@ def reference_pair_scores(
     return scores
 
 
+def reference_all_scores(model, users: np.ndarray) -> np.ndarray:
+    """Dense scores from one fresh ``propagate()`` under ``no_grad``: the
+    body every factorised model's ``all_scores`` ran before scoring
+    shared the propagation cache.  An IMCAT wrapper scores through its
+    backbone."""
+    model = getattr(model, "backbone", model)
+    with no_grad():
+        reps = model.propagate()
+        return reps[0].data[users] @ reps[1].data.T
+
+
 # ----------------------------------------------------------------------
 # legacy checkpoint payloads: what ``encode_state`` wrote before it
 # switched to stored (uncompressed) zip members

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,10 @@ from repro.nn import (
     no_grad,
     set_grad_enabled,
 )
+from repro.models import LightGCN
 from repro.nn import functional as F
+
+from ..helpers import tiny_dataset
 
 # These tests deliberately produce NaN/Inf to exercise the sanitizer;
 # NumPy's own RuntimeWarnings about them are expected noise.
@@ -76,6 +82,90 @@ class TestGradModeContexts:
 
         recurse(Tensor([1.0], requires_grad=True), 3)
         assert is_grad_enabled()
+
+
+def _run(*targets):
+    threads = [threading.Thread(target=target) for target in targets]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+
+
+class TestModesArePerThread:
+    @pytest.mark.parametrize(
+        "context, query, default",
+        [(no_grad, is_grad_enabled, True),
+         (detect_anomaly, is_anomaly_enabled, False)],
+        ids=["grad", "anomaly"],
+    )
+    def test_interleaved_contexts_restore_each_threads_mode(
+        self, context, query, default
+    ):
+        """A-enter, B-enter, A-exit, B-exit: with one process-wide flag
+        B's exit restored the value it saw on entry (A's), leaving the
+        mode flipped for every thread."""
+        a_entered, b_entered, a_exited, b_exited = (
+            threading.Event() for _ in range(4)
+        )
+        seen = {}
+
+        def thread_a():
+            with context():
+                a_entered.set()
+                b_entered.wait(10)
+                seen["a_inside"] = query()
+            a_exited.set()
+            b_exited.wait(10)
+            seen["a_after"] = query()
+
+        def thread_b():
+            a_entered.wait(10)
+            with context():
+                b_entered.set()
+                a_exited.wait(10)
+                seen["b_inside"] = query()
+            b_exited.set()
+            seen["b_after"] = query()
+
+        _run(thread_a, thread_b)
+        assert seen == {
+            "a_inside": not default, "a_after": default,
+            "b_inside": not default, "b_after": default,
+        }
+        assert query() is default
+
+    def test_new_thread_starts_from_defaults(self):
+        seen = []
+        with no_grad(), detect_anomaly():
+            _run(lambda: seen.append((is_grad_enabled(), is_anomaly_enabled())))
+        assert seen == [(True, False)]
+
+    def test_concurrent_scoring_leaves_training_gradients(self):
+        """Serving threads scoring one shared model must not switch
+        recording off for the thread that trains it."""
+        data = tiny_dataset()
+        model = LightGCN(
+            data.num_users, data.num_items, (data.user_ids, data.item_ids),
+            embed_dim=8, rng=np.random.default_rng(0),
+        )
+        users = np.arange(data.num_users)
+
+        def score():
+            for _ in range(200):
+                model.all_scores(users)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run(*([score] * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert is_grad_enabled()
+        model.pair_scores(data.user_ids, data.item_ids).sum().backward()
+        grads = [param.grad for param in model.parameters()]
+        assert all(grad is not None and np.any(grad) for grad in grads)
 
 
 class TestForwardAnomaly:

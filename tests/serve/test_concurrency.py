@@ -13,18 +13,23 @@ flag any regression even if the hammer got lucky on timing.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
 
 from repro import testing
+from repro.models import LightGCN
 from repro.obs import MetricsRegistry
 from repro.serve import (
     LEVEL_LIVE,
     LEVEL_POPULARITY,
     LEVEL_STALE,
     CircuitBreaker,
+    MicroBatcher,
+    RecommendationService,
     ShardedService,
+    StaticModelProvider,
     TTLCache,
 )
 
@@ -268,3 +273,62 @@ class TestShardedPoolConcurrency:
         assert metrics.get("serve.pool.responses.live") == total
         histogram = metrics.histogram("serve.pool.request_seconds")
         assert histogram.count == total
+
+
+class TestSharedModelConcurrency:
+    def test_services_sharing_one_graph_model_answer_like_one_thread(
+        self, small_dataset, small_split
+    ):
+        """Several micro-batching services over one provider score one
+        graph model, so every thread fills and reads the same
+        propagation cache at once (each inside its own ``no_grad``)."""
+        model = LightGCN(
+            small_dataset.num_users, small_dataset.num_items,
+            (small_split.train.user_ids, small_split.train.item_ids),
+            embed_dim=16, rng=np.random.default_rng(0),
+        )
+        train_items = [
+            set(items.tolist()) for items in small_split.train.items_of_user()
+        ]
+        services, requests = 4, 100
+
+        def user_of(index, step):
+            return (index * requests + step) % model.num_users
+
+        expected = {
+            user: model.recommend(user, top_n=10, exclude=train_items[user])
+            for user in {
+                user_of(index, step)
+                for index in range(services) for step in range(requests)
+            }
+        }
+        model.begin_step()  # start cold: the threads race to fill it
+        provider = StaticModelProvider(model)
+        pool = [
+            RecommendationService(
+                provider,
+                batcher=MicroBatcher(provider.model, max_wait=0.001),
+            )
+            for _ in range(services)
+        ]
+        answers = [[] for _ in range(services)]
+
+        def worker(index):
+            for step in range(requests):
+                user = user_of(index, step)
+                response = pool[index].recommend(
+                    user, top_n=10, exclude=train_items[user]
+                )
+                answers[index].append((user, response.level, response.items))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _run_threads(worker, count=services)
+        finally:
+            sys.setswitchinterval(interval)
+        for rows in answers:
+            assert len(rows) == requests
+            for user, level, items in rows:
+                assert level == LEVEL_LIVE
+                assert items.tolist() == expected[user].tolist()
