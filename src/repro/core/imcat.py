@@ -15,7 +15,7 @@ refresh) lives in :class:`repro.core.trainer.IMCATTrainer`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class IMCAT(Module):
         return self.backbone.all_scores(users)
 
     def recommend(
-        self, user: int, top_n: int = 20, exclude: Optional[set] = None
+        self, user: int, top_n: int = 20, exclude: Optional[Iterable[int]] = None
     ) -> np.ndarray:
         """Top-``top_n`` items for one user (delegates to the backbone),
         so an IMCAT wrapper can sit directly behind :mod:`repro.serve`."""

@@ -25,18 +25,22 @@ def cluster_tag_matrix(
     num_items: int,
     num_tags: int,
 ) -> sp.csr_matrix:
-    """Binary item x tag matrix restricted to one cluster's tags."""
-    rows, cols = [], []
-    for item in range(num_items):
-        tags = tags_of_item[item]
-        if len(tags) == 0:
-            continue
-        in_cluster = tags[tag_clusters[tags] == intent]
-        rows.extend([item] * len(in_cluster))
-        cols.extend(in_cluster.tolist())
-    data = np.ones(len(rows))
+    """Binary item x tag matrix restricted to one cluster's tags.
+
+    One array pass over the concatenated item -> tag lists; a tag listed
+    twice for an item sums to 2, as in any COO -> CSR conversion.
+    """
+    lists = tags_of_item[:num_items]
+    lengths = np.fromiter(map(len, lists), dtype=np.intp, count=num_items)
+    # The leading empty block types an all-empty (or empty) list as int.
+    tags = np.concatenate([np.empty(0, dtype=np.intp), *lists]).astype(
+        np.intp, copy=False
+    )
+    items = np.repeat(np.arange(num_items), lengths)
+    keep = tag_clusters[tags] == intent
     return sp.coo_matrix(
-        (data, (rows, cols)), shape=(num_items, num_tags)
+        (np.ones(int(keep.sum())), (items[keep], tags[keep])),
+        shape=(num_items, num_tags),
     ).tocsr()
 
 

@@ -8,7 +8,7 @@ items for one user, then get averaged over users by the evaluator.
 
 from __future__ import annotations
 
-from typing import Sequence, Set
+from typing import Iterable, Sequence, Set
 
 import numpy as np
 
@@ -74,10 +74,13 @@ METRIC_FUNCTIONS = {
 }
 
 
-def rank_items(scores: np.ndarray, exclude: Set[int], top_n: int) -> np.ndarray:
+def rank_items(
+    scores: np.ndarray, exclude: Iterable[int], top_n: int
+) -> np.ndarray:
     """Return the ``top_n`` item indices by score, skipping ``exclude``.
 
-    ``exclude`` holds the user's training items: the task definition
+    ``exclude`` holds the user's training items (any iterable of item
+    indices, e.g. a set or an index array): the task definition
     (Section III.A) requires the recommended set to be disjoint from the
     training set.  Implemented with ``argpartition`` for O(|V|) selection
     followed by an O(top_n log top_n) sort, both on the negated scores:
@@ -85,8 +88,9 @@ def rank_items(scores: np.ndarray, exclude: Set[int], top_n: int) -> np.ndarray:
     prefix, where ``argpartition`` stays linear however many there are.
     """
     negated = -np.asarray(scores, dtype=np.float64)
-    if exclude:
-        negated[list(exclude)] = np.inf
+    excluded = exclude if isinstance(exclude, np.ndarray) else list(exclude)
+    if len(excluded):
+        negated[excluded] = np.inf
     k = min(top_n, len(negated))
     top = np.argpartition(negated, k - 1)[:k]
     ranked = top[np.argsort(negated[top])]

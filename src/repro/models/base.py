@@ -23,7 +23,7 @@ Code that writes parameter ``.data`` directly, or rebuilds a graph that
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -170,7 +170,7 @@ class Recommender(Module):
         self,
         user: int,
         top_n: int = 20,
-        exclude: Optional[set] = None,
+        exclude: Optional[Iterable[int]] = None,
     ) -> np.ndarray:
         """Top-``top_n`` item indices for one user, best first.
 
@@ -178,12 +178,14 @@ class Recommender(Module):
             user: user index.
             top_n: list length ``N``.
             exclude: item indices to skip (typically the user's training
-                items, per the task definition of Section III.A).
+                items, per the task definition of Section III.A): any
+                iterable, e.g. a set or a row of
+                ``TagRecDataset.items_of_user()``.
         """
         from ..eval.metrics import rank_items
 
         scores = self.all_scores(np.array([user]))[0]
-        return rank_items(scores, exclude or set(), top_n)
+        return rank_items(scores, () if exclude is None else exclude, top_n)
 
     def l2_reg(self, batch: TripletBatch) -> Tensor:
         """Squared L2 norm of the batch's base embeddings (optional

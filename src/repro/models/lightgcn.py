@@ -72,6 +72,6 @@ class LightGCN(Recommender):
         for layer in layers[1:]:
             stacked = stacked + layer
         final = stacked * (1.0 / len(layers))
-        users = final[np.arange(self.num_users)]
-        items = final[np.arange(self.num_users, self.num_users + self.num_items)]
+        users = final[: self.num_users]
+        items = final[self.num_users : self.num_users + self.num_items]
         return users, items

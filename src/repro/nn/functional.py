@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, scatter_rows
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -149,8 +149,9 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
 def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows of an embedding table.
 
-    Gradients are scattered back with ``np.add.at`` so repeated indices
-    accumulate correctly (the semantics of ``torch.nn.Embedding``).
+    Gradients are scattered back with :func:`repro.nn.tensor.scatter_rows`
+    so repeated indices accumulate correctly (the semantics of
+    ``torch.nn.Embedding``), in index order.
     """
     weight = as_tensor(weight)
     idx = np.asarray(indices)
@@ -158,9 +159,7 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if weight.requires_grad:
-            full = np.zeros_like(weight.data)
-            np.add.at(full, idx, g)
-            weight._accumulate(full)
+            weight._accumulate_owned(scatter_rows(idx, g, weight.shape[0]))
 
     return Tensor._make(out_data, (weight,), backward)
 
@@ -182,8 +181,7 @@ def segment_mean(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tenso
     ids = np.asarray(segment_ids)
     counts = np.bincount(ids, minlength=num_segments).astype(x.data.dtype)
     safe = np.maximum(counts, 1.0)
-    sums = np.zeros((num_segments, x.data.shape[1]), dtype=x.data.dtype)
-    np.add.at(sums, ids, x.data)
+    sums = scatter_rows(ids, x.data, num_segments)
     out_data = sums / safe[:, None]
 
     def backward(g: np.ndarray) -> None:

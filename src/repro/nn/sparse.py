@@ -23,7 +23,7 @@ def sparse_matmul(adj: sp.spmatrix, x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(adj_t @ g)
+            x._accumulate_owned(adj_t @ g)
 
     return Tensor._make(out_data, (x,), backward)
 

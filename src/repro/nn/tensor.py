@@ -23,6 +23,7 @@ import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
+import scipy.sparse as sp
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
@@ -237,6 +238,59 @@ def unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def scatter_rows(index: np.ndarray, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``num_rows`` rows grouped by ``index``.
+
+    Returns the ``(num_rows, *values.shape[index.ndim:])`` array that
+    NumPy's ``add.at`` builds into zeros, bit for bit: each output row
+    starts from 0 and adds its contributions in index order.  The sum is
+    one sparse product with a ``(num_rows, index.size)`` CSC matrix
+    holding a single ``1.0`` per column; scipy walks the columns in
+    order, so row ``index[i]`` receives ``values[i]`` in that order, and
+    ``1.0 * v`` is exact.  This is the adjoint of a row gather
+    (``table[index]``) at memory speed, where ``add.at`` is NumPy's
+    slowest reduction.
+
+    Negative indices wrap as in NumPy; out-of-range or non-integer
+    indices raise :class:`IndexError`.
+    """
+    flat = np.asarray(index).reshape(-1)
+    trailing = values.shape[np.ndim(index):]
+    if flat.dtype.kind not in "iu":
+        raise IndexError(
+            f"scatter_rows needs integer indices, got dtype {flat.dtype}"
+        )
+    if flat.size == 0:
+        return np.zeros((num_rows,) + trailing, dtype=values.dtype)
+    low, high = flat.min(), flat.max()
+    if low < -num_rows or high >= num_rows:
+        bad = low if low < -num_rows else high
+        raise IndexError(
+            f"index {bad} is out of bounds for axis 0 with size {num_rows}"
+        )
+    if low < 0:
+        flat = np.where(flat < 0, flat + num_rows, flat)
+    gather_t = sp.csc_matrix(
+        (np.ones(flat.size, dtype=values.dtype), flat, np.arange(flat.size + 1)),
+        shape=(num_rows, flat.size),
+    )
+    summed = gather_t @ values.reshape(flat.size, -1)
+    return summed.reshape((num_rows,) + trailing)
+
+
+#: Index kinds that select each element at most once (NumPy "basic"
+#: indexing).  ``bool`` subclasses ``int`` but indexes as a mask.
+_BASIC_INDEX = (int, np.integer, slice, type(None), type(Ellipsis))
+
+
+def _is_basic_index(index) -> bool:
+    parts = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(part, _BASIC_INDEX) and not isinstance(part, bool)
+        for part in parts
+    )
+
+
 def _as_array(value: ArrayLike) -> np.ndarray:
     if isinstance(value, np.ndarray):
         if value.dtype == np.float64 or value.dtype == np.float32:
@@ -332,6 +386,21 @@ class Tensor:
         else:
             self.grad += grad
 
+    def _accumulate_owned(self, grad: np.ndarray) -> None:
+        """:meth:`_accumulate` for a buffer the calling backward closure
+        allocated itself and keeps no reference to: the first one is
+        adopted as ``.grad`` without the defensive copy.  Never pass
+        ``g`` or any array another tensor may hold."""
+        if (
+            self.grad is None
+            and type(grad) is np.ndarray
+            and grad.dtype == self.data.dtype
+            and grad.flags.c_contiguous
+        ):
+            self.grad = grad
+        else:
+            self._accumulate(grad)
+
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
@@ -413,9 +482,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(unbroadcast(g * other.data, self.shape))
+                self._accumulate_owned(unbroadcast(g * other.data, self.shape))
             if other.requires_grad:
-                other._accumulate(unbroadcast(g * self.data, other.shape))
+                other._accumulate_owned(unbroadcast(g * self.data, other.shape))
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -508,12 +577,23 @@ class Tensor:
 
     def __getitem__(self, index) -> "Tensor":
         out_data = self.data[index]
+        rows = isinstance(index, np.ndarray) and index.dtype.kind in "iu"
+        basic = not rows and _is_basic_index(index)
 
         def backward(g: np.ndarray) -> None:
-            if self.requires_grad:
-                full = np.zeros_like(self.data)
+            if not self.requires_grad:
+                return
+            if rows:
+                self._accumulate_owned(scatter_rows(index, g, self.shape[0]))
+                return
+            full = np.zeros_like(self.data)
+            if basic:
+                # A basic index selects every element at most once.
+                full[index] += g
+            else:
+                # Bool masks and mixed advanced tuples.
                 np.add.at(full, index, g)
-                self._accumulate(full)
+            self._accumulate_owned(full)
 
         return Tensor._make(out_data, (self,), backward)
 
@@ -529,7 +609,7 @@ class Tensor:
             grad = g
             if axis is not None and not keepdims:
                 grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
+            self._accumulate_owned(np.broadcast_to(grad, self.shape).copy())
 
         return Tensor._make(out_data, (self,), backward)
 

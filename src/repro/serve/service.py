@@ -305,7 +305,9 @@ class RecommendationService:
 
             budget = deadline if deadline is not None else self.default_deadline
             request_deadline = Deadline(budget, self._clock)
-            excluded: Set[int] = set(int(i) for i in exclude) if exclude else set()
+            excluded: Set[int] = (
+                set() if exclude is None else set(int(i) for i in exclude)
+            )
 
             items: Optional[np.ndarray] = None
             level = LEVEL_POPULARITY

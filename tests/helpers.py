@@ -1,5 +1,6 @@
 """Shared test utilities: numerical gradient checking, tiny datasets,
 primitive-chain references for the single-node loss ops, the
+``np.add.at`` reference for the row-scatter kernel, the
 union-of-members shortlist reference for retrieval, and the legacy
 deflate checkpoint encoder."""
 
@@ -21,6 +22,7 @@ from repro.core.alignment import IntentAlignment, relatedness_weights
 from repro.data import TagRecDataset
 from repro.nn import Tensor, no_grad, stack
 from repro.nn import functional as F
+from repro.nn import tensor as tensor_module
 
 
 def numerical_gradient(
@@ -203,6 +205,47 @@ def reference_ops(enabled: bool = True):
             patch.setattr(
                 IntentAlignment, "alignment_loss", reference_alignment_loss
             )
+        yield
+
+
+# ----------------------------------------------------------------------
+# row-scatter reference: ``np.add.at``, the kernel ``scatter_rows`` and
+# ``Tensor.__getitem__`` must reproduce bit for bit
+# ----------------------------------------------------------------------
+def reference_scatter_rows(
+    index: np.ndarray, values: np.ndarray, num_rows: int
+) -> np.ndarray:
+    """``np.add.at`` of ``values`` into zeros, grouped by ``index``."""
+    out = np.zeros(
+        (num_rows,) + values.shape[np.ndim(index):], dtype=values.dtype
+    )
+    np.add.at(out, index, values)
+    return out
+
+
+def reference_getitem(tensor: Tensor, index) -> Tensor:
+    """``tensor[index]`` scattering every gradient back with ``np.add.at``."""
+    out_data = tensor.data[index]
+
+    def backward(g: np.ndarray) -> None:
+        if tensor.requires_grad:
+            full = np.zeros_like(tensor.data)
+            np.add.at(full, index, g)
+            tensor._accumulate(full)
+
+    return Tensor._make(out_data, (tensor,), backward)
+
+
+@contextlib.contextmanager
+def reference_scatter(enabled: bool = True):
+    """Run :func:`reference_scatter_rows` and :func:`reference_getitem`
+    in place of ``scatter_rows`` and ``Tensor.__getitem__`` while active
+    (a no-op when ``enabled`` is false)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if enabled:
+            patch.setattr(tensor_module, "scatter_rows", reference_scatter_rows)
+            patch.setattr(F, "scatter_rows", reference_scatter_rows)
+            patch.setattr(Tensor, "__getitem__", reference_getitem)
         yield
 
 

@@ -78,3 +78,47 @@ class TestEmptyHistoryUser:
         model = BPRMF(NUM_USERS, NUM_ITEMS, DIM, rng=rng)
         scores = model.all_scores(np.array([NUM_USERS - 1]))[0]
         assert np.all(np.isfinite(scores))
+
+
+class TestExcludeIterables:
+    """``exclude`` takes any iterable of item indices, e.g. a row of
+    ``TagRecDataset.items_of_user()``, and answers as the set form."""
+
+    @pytest.mark.parametrize("wrap", [False, True])
+    def test_items_of_user_row_matches_set(self, small_dataset, wrap):
+        from repro.core import IMCAT, IMCATConfig
+
+        backbone = LightGCN(
+            small_dataset.num_users,
+            small_dataset.num_items,
+            (small_dataset.user_ids, small_dataset.item_ids),
+            embed_dim=DIM,
+            rng=np.random.default_rng(0),
+        )
+        model = (
+            IMCAT(
+                backbone,
+                small_dataset,
+                small_dataset,
+                IMCATConfig(),
+                rng=np.random.default_rng(0),
+            )
+            if wrap
+            else backbone
+        )
+        rows = small_dataset.items_of_user()
+        for user in range(0, small_dataset.num_users, 17):
+            row = rows[user]
+            got = model.recommend(user, top_n=20, exclude=row)
+            want = model.recommend(user, top_n=20, exclude=set(row.tolist()))
+            assert got.tolist() == want.tolist()
+            assert not set(got.tolist()) & set(row.tolist())
+
+    def test_generator_and_empty_array(self, model):
+        expected = model.recommend(0, top_n=NUM_ITEMS, exclude={1, 2})
+        got = model.recommend(0, top_n=NUM_ITEMS, exclude=(i for i in (1, 2)))
+        assert got.tolist() == expected.tolist()
+        assert (
+            model.recommend(0, exclude=np.array([], dtype=np.int64)).tolist()
+            == model.recommend(0).tolist()
+        )
