@@ -175,3 +175,19 @@ def kmeans(
         pad = np.repeat(centers[-1:], num_clusters - k, axis=0)
         centers = np.vstack([centers, pad])
     return centers, labels
+
+
+def cluster_balance(labels: np.ndarray, num_clusters: int) -> float:
+    """Normalised entropy of the hard cluster sizes.
+
+    ``1.0`` when every cluster holds the same number of tags and ``0.0``
+    when all tags sit in one cluster: the collapse signal end-to-end
+    intent clustering must watch (ELCRec, arXiv 2401.05975).  A single
+    cluster, or no tags at all, cannot be unbalanced and reads ``1.0``.
+    """
+    labels = np.asarray(labels)
+    if num_clusters <= 1 or labels.size == 0:
+        return 1.0
+    sizes = np.bincount(labels, minlength=num_clusters)
+    shares = sizes[sizes > 0] / labels.size
+    return float(-(shares * np.log(shares)).sum() / np.log(num_clusters))

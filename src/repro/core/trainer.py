@@ -41,6 +41,7 @@ from ..data.split import Split
 from ..eval.evaluator import Evaluator
 from ..nn import Adam, detect_anomaly
 from ..perf import CounterRegistry, PerfReport, StopwatchRegistry
+from .clustering import cluster_balance
 from .config import IMCATConfig
 from .imcat import IMCAT
 
@@ -154,11 +155,14 @@ class IMCATTrainer:
             return result
 
     def _refresh_clusters(self, rng, perf, tracer, metrics) -> None:
-        """One membership refresh, with the drift gauge updated.
+        """One membership refresh, with the drift and balance gauges
+        updated.
 
         Drift is the fraction of tags whose hard cluster changed — the
         convergence signal the end-to-end clustering (and ELCRec-style
-        variants) are tuned against.
+        variants) are tuned against.  Balance is the normalised entropy
+        of the cluster sizes (:func:`cluster_balance`), which falls
+        toward 0 as the clusters collapse into one.
         """
         model = self.model
         with perf.timed("cluster-refresh"):
@@ -170,8 +174,12 @@ class IMCATTrainer:
                     if before.size
                     else 0.0
                 )
-                span.set_attribute("drift", drift)
+                balance = cluster_balance(
+                    model.tag_clusters, model.config.num_intents
+                )
+                span.set_attributes(drift=drift, balance=balance)
         metrics.gauge("trainer.cluster_drift").set(drift)
+        metrics.gauge("trainer.cluster_balance").set(balance)
 
     def _fit_loop(self, tracer: obs.Tracer) -> IMCATTrainResult:
         model = self.model

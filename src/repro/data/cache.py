@@ -1,18 +1,25 @@
 """Dataset caching: persist a :class:`TagRecDataset` as compressed npz.
 
-Synthetic generation at larger scales takes seconds to minutes; caching
-lets benchmark reruns and notebook sessions reload instantly.  The file
-stores the four index arrays plus entity counts, the name, and — when
-written through :func:`cached_generate` — a fingerprint of the
-generator arguments, so a cache hit is only honoured when it was built
-with the *same* arguments (a stale file from a different
+Loading an archive is far cheaper than generating its dataset, measured
+on a 2-core host: 7 ms against 0.3-0.4 s to generate ``hetrec-del`` at
+scale 1.0, and 18 ms against 1.6-2.0 s for ``yelp-tag`` at 0.2.  Members
+stay deflated: the ``hetrec-del`` archive is 7x smaller (173 kB against
+1.2 MB stored), for 50-60 ms of compression per save against about 1 ms
+stored, paid once per cache miss.
+
+The file stores the four index arrays plus entity counts, the name,
+and — when written through :func:`cached_generate` — a fingerprint of
+the generator arguments, so a cache hit is only honoured when it was
+built with the *same* arguments (a stale file from a different
 scale/seed/preset regenerates instead of silently serving wrong data).
 
 Robustness mirrors :mod:`repro.ckpt`: writes are atomic (temp file +
 ``os.replace``) and routed through the :data:`repro.testing.
 DATA_CACHE_WRITE` fault site, and a torn or garbled archive raises
 :class:`DatasetCacheError` on load — which :func:`cached_generate`
-turns into delete-and-regenerate rather than a crash.
+turns into delete-and-regenerate rather than a crash.  Every member is
+read to its end, so its CRC-32 is checked; ``tests/data/test_cache.py``
+fuzzes flipped, truncated and extended archives against this.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from __future__ import annotations
 import io
 import os
 import warnings
+import zipfile
 from typing import Optional, Tuple
 
 import numpy as np
@@ -85,29 +93,39 @@ def save_dataset(
 def _read_archive(path: str) -> Tuple[TagRecDataset, Optional[str]]:
     """Decode one archive into (dataset, stored fingerprint or None)."""
     try:
-        with np.load(path) as archive:
-            stored = (
-                str(archive[_FINGERPRINT_KEY])
-                if _FINGERPRINT_KEY in archive.files
-                else None
-            )
-            dataset = TagRecDataset(
-                num_users=int(archive["num_users"]),
-                num_items=int(archive["num_items"]),
-                num_tags=int(archive["num_tags"]),
-                user_ids=archive["user_ids"],
-                item_ids=archive["item_ids"],
-                tag_item_ids=archive["tag_item_ids"],
-                tag_ids=archive["tag_ids"],
-                name=str(archive["name"]),
-            )
-            return dataset, stored
+        # np.load stops reading a deflate member at the array's last
+        # byte, which can fall short of the stream's end, where zipfile
+        # checks the CRC-32: a flipped bit then decodes to different ids
+        # without complaint.  ZipFile.read reads each member to its end.
+        with zipfile.ZipFile(path) as members:
+            archive = {
+                name[: -len(".npy")]: np.lib.format.read_array(
+                    io.BytesIO(members.read(name))
+                )
+                for name in members.namelist()
+            }
+        stored = (
+            str(archive[_FINGERPRINT_KEY])
+            if _FINGERPRINT_KEY in archive
+            else None
+        )
+        dataset = TagRecDataset(
+            num_users=int(archive["num_users"]),
+            num_items=int(archive["num_items"]),
+            num_tags=int(archive["num_tags"]),
+            user_ids=archive["user_ids"],
+            item_ids=archive["item_ids"],
+            tag_item_ids=archive["tag_item_ids"],
+            tag_ids=archive["tag_ids"],
+            name=str(archive["name"]),
+        )
+        return dataset, stored
     except FileNotFoundError:
         raise
     except Exception as err:
-        # np.load on a torn/garbled npz surfaces anything from
-        # zipfile.BadZipFile through KeyError to zlib.error; collapse
-        # them into one precise, catchable failure mode.
+        # A torn/garbled npz surfaces anything from zipfile.BadZipFile
+        # through KeyError to zlib.error; collapse them into one
+        # precise, catchable failure mode.
         raise DatasetCacheError(
             f"dataset cache {path!r} is unreadable ({type(err).__name__}: "
             f"{err})"

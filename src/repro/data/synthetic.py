@@ -21,6 +21,17 @@ Presets mirror the seven Table I datasets.  Each preset stores the
 paper-scale statistics for reporting and a generator configuration; a
 ``scale`` parameter shrinks user/item/tag counts proportionally so the
 benchmark harness stays CPU-friendly while preserving average degrees.
+
+**Stream contract.**  A dataset is fixed by its config and seed, so the
+generator's use of the RNG stream is part of its output.  Each item's
+tag slots are drawn the way ``Generator.choice(members, p=w / w.sum())``
+draws one sample, without calling it per slot: one double per slot,
+mapped through the factor's inverse CDF (``(w / w.sum()).cumsum()``
+normalised by its last entry, ``searchsorted(side="right")``).  NumPy
+does not promise that ``choice`` keeps this algorithm, so
+``tests/data/test_generate_stream.py`` checks ``generate`` bit for bit
+against the per-slot ``rng.choice`` loop, and checks the inverse-CDF
+assumption directly.
 """
 
 from __future__ import annotations
@@ -69,6 +80,49 @@ class SyntheticConfig:
     degree_sigma: float = 0.8
     noise: float = 0.02
 
+    def __post_init__(self) -> None:
+        """Reject parameters the generator cannot honour.
+
+        Raises:
+            ValueError: naming the first offending field.
+        """
+        for field, minimum in (
+            ("num_users", 1),
+            ("num_items", 2),  # every user keeps at least one non-pick
+            ("num_factors", 1),
+        ):
+            if not getattr(self, field) >= minimum:
+                raise ValueError(
+                    f"{field} must be >= {minimum}, "
+                    f"got {getattr(self, field)}"
+                )
+        if self.num_tags < self.num_factors:  # no factor without a tag
+            raise ValueError(
+                f"num_tags must be >= num_factors ({self.num_factors}), "
+                f"got {self.num_tags}"
+            )
+        for field in ("item_offtopic", "tag_offtopic", "noise"):
+            if not 0.0 <= getattr(self, field) <= 1.0:
+                raise ValueError(
+                    f"{field} must be in [0, 1], got {getattr(self, field)}"
+                )
+        for field in (
+            "mean_user_degree", "mean_item_tags", "user_concentration"
+        ):
+            if not getattr(self, field) > 0:
+                raise ValueError(
+                    f"{field} must be positive, got {getattr(self, field)}"
+                )
+        if not self.degree_sigma >= 0:
+            raise ValueError(
+                f"degree_sigma must be >= 0, got {self.degree_sigma}"
+            )
+        if not np.isfinite(self.popularity_exponent):
+            raise ValueError(
+                "popularity_exponent must be finite, "
+                f"got {self.popularity_exponent}"
+            )
+
     def scaled(self, scale: float) -> "SyntheticConfig":
         """Shrink entity counts by ``scale`` keeping average degrees."""
         if scale <= 0:
@@ -97,6 +151,14 @@ def generate(
     return_ground_truth: bool = False,
 ):
     """Sample a :class:`TagRecDataset` from the generative model.
+
+    The output is a pure function of ``config`` and ``seed``: every
+    array comes from one ``np.random.default_rng(seed)`` stream in a
+    fixed order.  Per item the stream holds, in turn, one double per tag
+    slot for the off-topic coin, one integer per slot for the off-topic
+    factor, and one double per slot looked up in the factor's tag CDF,
+    the draw ``rng.choice(members, p=w / w.sum())`` would make (see the
+    module docstring and ``tests/data/test_generate_stream.py``).
 
     Args:
         config: generator parameters.
@@ -132,60 +194,71 @@ def generate(
     )
     degrees = np.minimum(degrees, n_v - 1)
 
-    user_chunks = []
-    item_chunks = []
+    user_ends = np.cumsum(degrees)
+    user_ids = np.repeat(np.arange(n_u, dtype=np.int64), degrees)
+    item_ids = np.empty(user_ends[-1], dtype=np.int64)
     chunk = 512
     for start in range(0, n_u, chunk):
         stop = min(start + chunk, n_u)
-        affinity = user_pref[start:stop] @ item_profile.T  # (chunk, n_v)
-        weights = affinity * popularity[None, :]
+        scores = user_pref[start:stop] @ item_profile.T  # (chunk, n_v)
+        scores *= popularity
         # Mix in uniform noise clicks.
-        weights = (1.0 - config.noise) * weights + config.noise * (
-            weights.sum(axis=1, keepdims=True) / n_v
-        )
+        mix = config.noise * (scores.sum(axis=1, keepdims=True) / n_v)
+        scores *= 1.0 - config.noise
+        scores += mix
         # Gumbel-top-k sampling without replacement per user.
-        gumbel = rng.gumbel(size=weights.shape)
-        scores = np.log(np.maximum(weights, 1e-300)) + gumbel
+        gumbel = rng.gumbel(size=scores.shape)
+        np.maximum(scores, 1e-300, out=scores)
+        np.log(scores, out=scores)
+        scores += gumbel
         for row, user in enumerate(range(start, stop)):
             k = degrees[user]
-            picked = np.argpartition(scores[row], -k)[-k:]
-            user_chunks.append(np.full(k, user, dtype=np.int64))
-            item_chunks.append(picked.astype(np.int64))
-    user_ids = np.concatenate(user_chunks)
-    item_ids = np.concatenate(item_chunks)
+            end = user_ends[user]
+            item_ids[end - k:end] = np.argpartition(scores[row], -k)[-k:]
 
     # --- tag vocabulary ---------------------------------------------------
     tag_factor = np.arange(n_t) % n_f
     rng.shuffle(tag_factor)
-    # Zipf popularity of tags within each factor.
-    tag_weight = np.zeros(n_t)
-    for f in range(n_f):
-        members = np.where(tag_factor == f)[0]
-        tag_weight[members] = (np.arange(len(members)) + 1.0) ** -0.8
-    tags_by_factor = [np.where(tag_factor == f)[0] for f in range(n_f)]
 
     # --- item-tag assignments ----------------------------------------------
-    tag_item_chunks = []
-    tag_chunks = []
     counts = np.maximum(rng.poisson(config.mean_item_tags, size=n_v), 1)
+    slot_ends = np.cumsum(counts)
+    offtopic_draw = np.empty(slot_ends[-1])
+    any_factor = np.empty(slot_ends[-1], dtype=np.int64)
+    tag_draw = np.empty(slot_ends[-1])
     for v in range(n_v):
-        n_assign = counts[v]
-        # Dominant factor with prob 1 - tag_offtopic, else uniform factor.
-        factors = np.where(
-            rng.random(n_assign) < config.tag_offtopic,
-            rng.integers(0, n_f, size=n_assign),
-            item_factor[v],
-        )
-        chosen = np.empty(n_assign, dtype=np.int64)
-        for pos, f in enumerate(factors):
-            members = tags_by_factor[f]
-            w = tag_weight[members]
-            chosen[pos] = rng.choice(members, p=w / w.sum())
-        chosen = np.unique(chosen)
-        tag_item_chunks.append(np.full(len(chosen), v, dtype=np.int64))
-        tag_chunks.append(chosen)
-    tag_item_ids = np.concatenate(tag_item_chunks)
-    tag_ids = np.concatenate(tag_chunks)
+        lo, hi = slot_ends[v] - counts[v], slot_ends[v]
+        rng.random(out=offtopic_draw[lo:hi])
+        any_factor[lo:hi] = rng.integers(0, n_f, size=counts[v])
+        rng.random(out=tag_draw[lo:hi])
+    slot_item = np.repeat(np.arange(n_v, dtype=np.int64), counts)
+    # Dominant factor with prob 1 - tag_offtopic, else uniform factor.
+    slot_factor = np.where(
+        offtopic_draw < config.tag_offtopic, any_factor, item_factor[slot_item]
+    )
+    slot_tag = np.empty(slot_ends[-1], dtype=np.int64)
+    for f in range(n_f):
+        members = np.where(tag_factor == f)[0]
+        # Zipf popularity of tags within the factor, drawn through the
+        # inverse CDF that ``Generator.choice(members, p=w / w.sum())``
+        # builds.
+        w = (np.arange(len(members)) + 1.0) ** -0.8
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        slots = slot_factor == f
+        slot_tag[slots] = members[
+            cdf.searchsorted(tag_draw[slots], side="right")
+        ]
+    # Sort tags within each item and drop repeats.
+    order = np.lexsort((slot_tag, slot_item))
+    tag_item_ids = slot_item[order]
+    tag_ids = slot_tag[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = (tag_item_ids[1:] != tag_item_ids[:-1]) | (
+        tag_ids[1:] != tag_ids[:-1]
+    )
+    tag_item_ids = tag_item_ids[keep]
+    tag_ids = tag_ids[keep]
 
     dataset = TagRecDataset(
         num_users=n_u,

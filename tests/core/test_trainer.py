@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core import IMCAT, IMCATConfig, IMCATTrainConfig, IMCATTrainer
+from repro.core.clustering import cluster_balance
 from repro.eval import Evaluator
 from repro.models import BPRMF
 
@@ -129,3 +131,39 @@ class TestPerfInstrumentation:
         text = result.perf.format(title="imcat run")
         assert text.startswith("imcat run")
         assert "forward" in text
+
+
+class TestClusterBalance:
+    def test_equal_clusters_read_one(self):
+        labels = np.repeat(np.arange(4), 5)
+        assert cluster_balance(labels, 4) == pytest.approx(1.0)
+
+    def test_single_cluster_reads_zero(self):
+        assert cluster_balance(np.full(20, 2), 4) == 0.0
+
+    def test_fit_exports_gauge_and_span_attribute(
+        self, small_dataset, small_split
+    ):
+        registry = obs.MetricsRegistry()
+        previous = obs.set_metrics(registry)
+        try:
+            model, trainer = make_trainer(
+                small_dataset, small_split, epochs=4, pretrain=1
+            )
+            trainer.tracer = obs.Tracer()
+            trainer.fit()
+        finally:
+            obs.set_metrics(previous)
+        gauge = registry.gauge("trainer.cluster_balance")
+        expected = cluster_balance(model.tag_clusters, 4)
+        assert gauge.updates > 0
+        assert gauge.value == expected
+        assert 0.0 < expected <= 1.0
+        refreshes = [
+            r["attributes"]["balance"]
+            for r in trainer.tracer.records()
+            if r["name"] == "cluster-refresh"
+        ]
+        # Before clustering activates every tag sits in cluster 0.
+        assert refreshes[0] == 0.0
+        assert refreshes[-1] == expected

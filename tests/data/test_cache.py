@@ -1,12 +1,16 @@
-"""Tests for dataset caching: round-trips, argument fingerprints, and
-torn-write recovery."""
+"""Tests for dataset caching: round-trips, argument fingerprints,
+torn-write recovery, and fuzzed archives."""
 
 from __future__ import annotations
 
 import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import testing
 from repro.data import (
@@ -152,3 +156,107 @@ class TestCorruptionRecovery:
         save_dataset(tiny_dataset(), str(tmp_path / "ds.npz"))
         leftovers = [n for n in os.listdir(tmp_path) if n.endswith(".tmp")]
         assert leftovers == []
+
+
+_FUZZ_ARGS = ("hetrec-del",)
+_FUZZ_KWARGS = dict(scale=0.03, seed=0)
+
+
+def _same_dataset(a, b) -> bool:
+    return (a.name, a.num_users, a.num_items, a.num_tags) == (
+        b.name, b.num_users, b.num_items, b.num_tags
+    ) and all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("user_ids", "item_ids", "tag_item_ids", "tag_ids")
+    )
+
+
+@pytest.fixture(scope="module")
+def cache_archive():
+    """The bytes of a real ``cached_generate`` archive, fingerprint
+    included, and the freshly generated dataset it holds."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "cache.npz")
+        dataset = cached_generate(
+            generate_preset, path, *_FUZZ_ARGS, **_FUZZ_KWARGS
+        )
+        with open(path, "rb") as handle:
+            return handle.read(), dataset
+
+
+@st.composite
+def damaged_archives(draw, archive: bytes):
+    """``archive`` with bytes flipped, cut off, or junk appended."""
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "truncate":
+        return archive[: draw(st.integers(0, len(archive) - 1))]
+    if kind == "append":
+        return archive + draw(st.binary(min_size=1, max_size=64))
+    data = bytearray(archive)
+    flips = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(data) - 1), st.integers(1, 255)),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for position, mask in flips:
+        data[position] ^= mask
+    return bytes(data)
+
+
+class TestCacheFuzz:
+    """Whatever happens to the bytes on disk, the reader either refuses
+    them with :class:`DatasetCacheError` or returns the dataset that was
+    written, and :func:`cached_generate` always serves the right one."""
+
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_damaged_archive_never_loads_wrong_data(self, cache_archive, data):
+        archive, written = cache_archive
+        damaged = data.draw(damaged_archives(archive))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "cache.npz")
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            try:
+                loaded = load_dataset_file(path)
+            except DatasetCacheError:
+                refused = True
+            else:
+                refused = False
+                assert _same_dataset(loaded, written)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                served = cached_generate(
+                    generate_preset, path, *_FUZZ_ARGS, **_FUZZ_KWARGS
+                )
+        assert _same_dataset(served, written)
+        if refused:
+            assert any(
+                issubclass(w.category, RuntimeWarning)
+                and "regenerating" in str(w.message)
+                for w in caught
+            )
+
+    def test_every_single_bit_flip(self, cache_archive, tmp_path):
+        """Exhaustive over one bit per byte.  Flipping the low bit of byte
+        808 of this archive (inside ``item_ids``' deflate stream) once
+        loaded different ids: ``np.load`` stopped short of the point
+        where zipfile checks the member's CRC-32."""
+        archive, written = cache_archive
+        path = str(tmp_path / "cache.npz")
+        for position in range(len(archive)):
+            data = bytearray(archive)
+            data[position] ^= 1
+            with open(path, "wb") as handle:
+                handle.write(data)
+            try:
+                loaded = load_dataset_file(path)
+            except DatasetCacheError:
+                continue
+            assert _same_dataset(loaded, written), position

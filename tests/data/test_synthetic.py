@@ -136,3 +136,47 @@ class TestGroundTruth:
         ds = generate_preset("hetrec-del", scale=0.05, seed=0)
         assert ds.name == "hetrec-del"
         assert ds.num_users == max(int(1274 * 0.05), 30)
+
+
+class TestConfigValidation:
+    """Configs the generator cannot honour are rejected up front, naming
+    the field, instead of crashing mid-generation or skewing the data."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_users", 0),
+            ("num_items", 1),
+            ("num_factors", 0),
+            ("num_tags", 3),  # fewer tags than the default 8 factors
+            ("item_offtopic", 1.2),
+            ("tag_offtopic", -0.1),
+            ("noise", 1.5),
+            ("mean_user_degree", 0.0),
+            ("mean_item_tags", -1.0),
+            ("user_concentration", 0.0),
+            ("degree_sigma", -0.5),
+            ("popularity_exponent", float("nan")),
+        ],
+    )
+    def test_rejects_field(self, field, value):
+        base = dict(name="x", num_users=40, num_items=60, num_tags=40)
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            SyntheticConfig(**{**base, field: value})
+
+    def test_rejects_nan_probability(self):
+        with pytest.raises(ValueError, match="^noise must"):
+            SyntheticConfig("x", 40, 60, 40, noise=float("nan"))
+
+    def test_boundary_values_generate(self):
+        config = SyntheticConfig(
+            "x", 1, 2, 1, num_factors=1, item_offtopic=1.0,
+            tag_offtopic=0.0, noise=1.0,
+        )
+        ds = generate(config, seed=0)
+        assert ds.num_interactions == 1 and ds.num_tags == 1
+
+    def test_presets_and_scaled_presets_stay_valid(self):
+        for name in DATASET_ORDER:
+            for scale in (1e-6, 0.05, 1.0):
+                preset(name, scale=scale)  # raises if invalid

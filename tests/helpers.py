@@ -1,6 +1,7 @@
 """Shared test utilities: numerical gradient checking, tiny datasets,
 primitive-chain references for the single-node loss ops, the
-``np.add.at`` reference for the row-scatter kernel, the
+``np.add.at`` reference for the row-scatter kernel, the per-slot
+``rng.choice`` reference for the synthetic generator, the
 union-of-members shortlist reference for retrieval, and the legacy
 deflate checkpoint encoder."""
 
@@ -20,6 +21,7 @@ from repro.ckpt.serialize import _encode as _encode_tree
 from repro.core import intent_view
 from repro.core.alignment import IntentAlignment, relatedness_weights
 from repro.data import TagRecDataset
+from repro.data.synthetic import SyntheticConfig, SyntheticGroundTruth
 from repro.nn import Tensor, no_grad, stack
 from repro.nn import functional as F
 from repro.nn import tensor as tensor_module
@@ -247,6 +249,118 @@ def reference_scatter(enabled: bool = True):
             patch.setattr(F, "scatter_rows", reference_scatter_rows)
             patch.setattr(Tensor, "__getitem__", reference_getitem)
         yield
+
+
+# ----------------------------------------------------------------------
+# synthetic-generator reference: one ``rng.choice`` per item-tag slot,
+# the RNG stream the vectorised ``generate`` must consume bit for bit
+# ----------------------------------------------------------------------
+def reference_generate(
+    config: SyntheticConfig,
+    seed: int = 0,
+    return_ground_truth: bool = False,
+):
+    """:func:`repro.data.generate` as a per-item, per-slot loop."""
+    rng = np.random.default_rng(seed)
+    n_u, n_v, n_t, n_f = (
+        config.num_users,
+        config.num_items,
+        config.num_tags,
+        config.num_factors,
+    )
+
+    # --- latent structure -------------------------------------------------
+    user_pref = rng.dirichlet(np.full(n_f, config.user_concentration), size=n_u)
+    item_factor = rng.integers(0, n_f, size=n_v)
+    item_profile = np.full((n_v, n_f), config.item_offtopic / max(n_f - 1, 1))
+    item_profile[np.arange(n_v), item_factor] = 1.0 - config.item_offtopic
+
+    # Zipf popularity over a random item permutation.
+    ranks = rng.permutation(n_v) + 1.0
+    popularity = ranks ** (-config.popularity_exponent)
+    popularity /= popularity.sum()
+
+    # --- interactions -----------------------------------------------------
+    mu = np.log(config.mean_user_degree) - config.degree_sigma**2 / 2.0
+    degrees = np.maximum(
+        rng.lognormal(mu, config.degree_sigma, size=n_u).astype(int), 1
+    )
+    degrees = np.minimum(degrees, n_v - 1)
+
+    user_chunks = []
+    item_chunks = []
+    chunk = 512
+    for start in range(0, n_u, chunk):
+        stop = min(start + chunk, n_u)
+        affinity = user_pref[start:stop] @ item_profile.T  # (chunk, n_v)
+        weights = affinity * popularity[None, :]
+        # Mix in uniform noise clicks.
+        weights = (1.0 - config.noise) * weights + config.noise * (
+            weights.sum(axis=1, keepdims=True) / n_v
+        )
+        # Gumbel-top-k sampling without replacement per user.
+        gumbel = rng.gumbel(size=weights.shape)
+        scores = np.log(np.maximum(weights, 1e-300)) + gumbel
+        for row, user in enumerate(range(start, stop)):
+            k = degrees[user]
+            picked = np.argpartition(scores[row], -k)[-k:]
+            user_chunks.append(np.full(k, user, dtype=np.int64))
+            item_chunks.append(picked.astype(np.int64))
+    user_ids = np.concatenate(user_chunks)
+    item_ids = np.concatenate(item_chunks)
+
+    # --- tag vocabulary ---------------------------------------------------
+    tag_factor = np.arange(n_t) % n_f
+    rng.shuffle(tag_factor)
+    # Zipf popularity of tags within each factor.
+    tag_weight = np.zeros(n_t)
+    for f in range(n_f):
+        members = np.where(tag_factor == f)[0]
+        tag_weight[members] = (np.arange(len(members)) + 1.0) ** -0.8
+    tags_by_factor = [np.where(tag_factor == f)[0] for f in range(n_f)]
+
+    # --- item-tag assignments ----------------------------------------------
+    tag_item_chunks = []
+    tag_chunks = []
+    counts = np.maximum(rng.poisson(config.mean_item_tags, size=n_v), 1)
+    for v in range(n_v):
+        n_assign = counts[v]
+        # Dominant factor with prob 1 - tag_offtopic, else uniform factor.
+        factors = np.where(
+            rng.random(n_assign) < config.tag_offtopic,
+            rng.integers(0, n_f, size=n_assign),
+            item_factor[v],
+        )
+        chosen = np.empty(n_assign, dtype=np.int64)
+        for pos, f in enumerate(factors):
+            members = tags_by_factor[f]
+            w = tag_weight[members]
+            chosen[pos] = rng.choice(members, p=w / w.sum())
+        chosen = np.unique(chosen)
+        tag_item_chunks.append(np.full(len(chosen), v, dtype=np.int64))
+        tag_chunks.append(chosen)
+    tag_item_ids = np.concatenate(tag_item_chunks)
+    tag_ids = np.concatenate(tag_chunks)
+
+    dataset = TagRecDataset(
+        num_users=n_u,
+        num_items=n_v,
+        num_tags=n_t,
+        user_ids=user_ids,
+        item_ids=item_ids,
+        tag_item_ids=tag_item_ids,
+        tag_ids=tag_ids,
+        name=config.name,
+    )
+    if return_ground_truth:
+        truth = SyntheticGroundTruth(
+            user_preferences=user_pref,
+            item_factors=item_factor,
+            tag_factors=tag_factor,
+            item_popularity=popularity,
+        )
+        return dataset, truth
+    return dataset
 
 
 # ----------------------------------------------------------------------
