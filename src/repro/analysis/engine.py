@@ -15,8 +15,11 @@ from .rules import Rule, iter_rules
 #: Modules whose training/eval loops are vectorised fast paths (LNT002).
 DEFAULT_HOT_PATHS: Tuple[str, ...] = (
     "repro/eval/evaluator.py",
+    "repro/eval/metrics.py",
     "repro/data/sampling.py",
     "repro/core/alignment.py",
+    "repro/retrieval/retriever.py",
+    "repro/retrieval/benchmark.py",
 )
 
 #: Modules holding evaluation/scoring entry points (LNT003).

@@ -7,11 +7,15 @@ model's ``all_scores()`` in user chunks so NeuMF-style pairwise scorers
 stay memory-bounded.
 
 The default :meth:`Evaluator.evaluate` path is fully vectorized: one
-chunk is masked with a precomputed CSR interaction structure, top-``N``
-selected with a single ``argpartition``, and all metrics computed from
-a chunk-wide hit matrix — no per-user Python.  The original per-user
-loop survives as :meth:`Evaluator.evaluate_reference` for equivalence
-tests and the hot-path benchmarks.
+chunk is masked with a precomputed CSR interaction structure, its
+top-``N`` selected by :func:`repro.eval.metrics.top_k_rows` (a block
+maximum prefilter that selects among ``16 * N`` candidates per row and
+re-ranks rows with ties by full-row selection, so the ranking equals a
+full-row ``argpartition`` + ``argsort`` on every input), and all
+metrics computed from a chunk-wide hit matrix — no per-user Python.
+The original per-user loop survives as
+:meth:`Evaluator.evaluate_reference` for equivalence tests and the
+hot-path benchmarks.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .. import obs
 from ..data.dataset import TagRecDataset
 from ..nn import no_grad
 from ..perf import StopwatchRegistry
-from .metrics import METRIC_FUNCTIONS, rank_items
+from .metrics import METRIC_FUNCTIONS, rank_items, top_k_rows
 
 
 @dataclass
@@ -43,14 +47,13 @@ class EvalResult:
         return ", ".join(f"{k}={v:.4f}" for k, v in sorted(self.metrics.items()))
 
 
-def _csr_over_users(
+def csr_over_users(
     items_of_user: Sequence[np.ndarray], users: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, flat sorted columns) restricted to ``users``.
 
     Row ``i`` of the structure holds the sorted item ids of
-    ``users[i]``; sorting per row makes both the masking scatter and
-    the ``searchsorted`` membership tests below valid.
+    ``users[i]``.
     """
     lengths = np.fromiter(
         (len(items_of_user[u]) for u in users), dtype=np.int64, count=len(users)
@@ -61,6 +64,21 @@ def _csr_over_users(
     else:
         flat = np.empty(0, dtype=np.int64)
     return indptr, flat.astype(np.int64)
+
+
+def fill_csr_rows(
+    target: np.ndarray,
+    indptr: np.ndarray,
+    flat: np.ndarray,
+    start: int,
+    value,
+) -> None:
+    """Set ``target[i, j] = value`` for every column ``j`` of CSR row
+    ``start + i``, for every row ``i`` of ``target``: one scatter."""
+    rows = target.shape[0]
+    bounds = indptr[start : start + rows + 1]
+    row_ids = np.repeat(np.arange(rows, dtype=np.int64), np.diff(bounds))
+    target[row_ids, flat[bounds[0] : bounds[-1]]] = value
 
 
 class Evaluator:
@@ -106,10 +124,10 @@ class Evaluator:
         # Precomputed CSR structures over the evaluation users: training
         # items (the -inf mask) and test items (the relevance sets,
         # globally-sorted keys for vectorized membership).
-        self._mask_indptr, self._mask_flat = _csr_over_users(
+        self._mask_indptr, self._mask_flat = csr_over_users(
             self._train_items, self.eval_users
         )
-        self._rel_indptr, self._rel_flat = _csr_over_users(
+        self._rel_indptr, self._rel_flat = csr_over_users(
             self._test_items, self.eval_users
         )
         self._rel_counts = np.diff(self._rel_indptr)
@@ -177,11 +195,15 @@ class Evaluator:
             with perf.timed("score"), tracer.span("eval:score", users=len(users)):
                 # Scoring runs under no_grad so a model that forgets to
                 # detach cannot grow the tape across the full |U| x |V|
-                # ranking; the copy is needed because the chunk is
-                # masked in place below and the model may hand back a
-                # cached or shared array.
+                # ranking.  The chunk is masked in place below, so a
+                # model's array is copied (it may be cached or shared);
+                # the ApproximateScorer built above returns a fresh one.
                 with no_grad():
-                    scores = np.array(model.all_scores(users), dtype=np.float64)
+                    raw = model.all_scores(users)
+                if approximate:
+                    scores = np.asarray(raw, dtype=np.float64)
+                else:
+                    scores = np.array(raw, dtype=np.float64)
             if scores.shape[0] != len(users):
                 raise ValueError(
                     f"all_scores returned {scores.shape[0]} rows for "
@@ -214,45 +236,26 @@ class Evaluator:
     ) -> np.ndarray:
         """Mask, select, and label the top ``max_n`` of one chunk.
 
-        Returns the boolean ``(rows, k)`` hit matrix: ``hits[i, j]``
-        means the j-th ranked item of user i is one of its test items.
-        Slots past a user's candidate count (possible when the training
-        mask leaves fewer than ``max_n`` items) are always False —
-        masked candidates sort to the tail exactly as in
-        :func:`rank_items`'s trim, so positions of real candidates are
-        unaffected.
+        Writes ``-inf`` over each user's training items in ``scores``
+        (the evaluator's own copy) and ranks the chunk with
+        :func:`top_k_rows`.  Returns the boolean ``(rows, k)`` hit
+        matrix: ``hits[i, j]`` means the j-th ranked item of user i is
+        one of its test items.  Slots holding a non-finite score
+        (possible when the training mask leaves fewer than ``max_n``
+        items) are always False — masked items rank after every
+        candidate exactly as in :func:`rank_items`'s trim, so positions
+        of real candidates are unaffected.
         """
-        lo, hi = self._mask_indptr[start], self._mask_indptr[start + rows]
-        mask_rows = np.repeat(
-            np.arange(rows, dtype=np.int64),
-            np.diff(self._mask_indptr[start : start + rows + 1]),
-        )
-        # Select on the negated chunk (an exact sign flip, in place: the
-        # chunk is ours), as rank_items does: masked entries become
-        # +inf ties past the kth position, where argpartition stays
-        # linear.  As -inf ties below a top-k select they made rows that
-        # are mostly masked (approximate mode) 5-10x slower to rank.
-        np.negative(scores, out=scores)
-        scores[mask_rows, self._mask_flat[lo:hi]] = np.inf
-        k = min(max_n, scores.shape[1])
-        part = np.argpartition(scores, k - 1, axis=1)[:, :k]
-        part_scores = np.take_along_axis(scores, part, axis=1)
-        order = np.argsort(part_scores, axis=1)
-        ranked = np.take_along_axis(part, order, axis=1)
-        valid = np.isfinite(np.take_along_axis(part_scores, order, axis=1))
+        fill_csr_rows(scores, self._mask_indptr, self._mask_flat, start, -np.inf)
+        ranked, values = top_k_rows(scores, max_n)
         # Membership of every ranked slot in its user's test set: one
         # dense boolean scatter of the chunk's relevance lists, then a
         # gather at the ranked positions (measurably faster than a
         # searchsorted over (row, item) keys).
-        rel_lo, rel_hi = self._rel_indptr[start], self._rel_indptr[start + rows]
-        rel_rows = np.repeat(
-            np.arange(rows, dtype=np.int64),
-            np.diff(self._rel_indptr[start : start + rows + 1]),
-        )
         relevance = np.zeros((rows, scores.shape[1]), dtype=bool)
-        relevance[rel_rows, self._rel_flat[rel_lo:rel_hi]] = True
+        fill_csr_rows(relevance, self._rel_indptr, self._rel_flat, start, True)
         hits = relevance[np.arange(rows)[:, None], ranked]
-        return hits & valid
+        return hits & np.isfinite(values)
 
     def _chunk_metrics(
         self,

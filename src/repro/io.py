@@ -8,6 +8,11 @@ RippleNet's sampled ripple sets).  After loading, models that derive
 caches from their parameters (KGAT attention, DGCF intent routing) are
 refreshed so a reloaded model scores identically to the saved one.
 
+Every member is read to its end with :meth:`zipfile.ZipFile.read`, so
+its CRC-32 is checked, and any damaged archive raises one error,
+:class:`ModelArchiveError` (a ``ValueError``); a missing file still
+raises ``FileNotFoundError``.
+
 Paths are normalised once: both helpers append the ``.npz`` suffix if
 missing and tolerate callers that append it twice (``np.savez`` would
 otherwise silently write ``name.npz`` while a later
@@ -18,7 +23,10 @@ this module intentionally stores only what inference needs.
 
 from __future__ import annotations
 
+import io
 import os
+import zipfile
+from typing import Dict
 
 import numpy as np
 
@@ -27,6 +35,12 @@ from .nn import Module
 _META_PREFIX = "__meta__"
 _BUFFER_PREFIX = "__buf__"
 _SUFFIX = ".npz"
+_MEMBER_SUFFIX = ".npy"
+
+
+class ModelArchiveError(ValueError):
+    """A :func:`save_model` archive that cannot be decoded (torn,
+    truncated or bit-flipped)."""
 
 
 def _normalize_path(path: str) -> str:
@@ -50,7 +64,7 @@ def _resolve_existing(path: str) -> str:
         return normalized
     if os.path.exists(path):
         return path
-    return normalized  # let np.load raise a precise FileNotFoundError
+    return normalized  # let the reader raise a precise FileNotFoundError
 
 
 def save_model(model: Module, path: str) -> str:
@@ -75,36 +89,72 @@ def save_model(model: Module, path: str) -> str:
     return path
 
 
+def _read_archive(path: str) -> Dict[str, np.ndarray]:
+    """Every member of the archive at ``path``, keyed by array name.
+
+    ``np.load`` stops reading a deflate member at the array's last
+    byte, which can fall short of the stream's end, where zipfile checks
+    the CRC-32; ``ZipFile.read`` reads each member to its end.
+    """
+    try:
+        with zipfile.ZipFile(path) as members:
+            infos = members.infolist()
+            if any(info.comment for info in infos):
+                # save_model writes no comments; a damaged comment length
+                # in the central directory swallows the entries after it.
+                raise zipfile.BadZipFile("member with a comment")
+            return {
+                info.filename[: -len(_MEMBER_SUFFIX)]: np.lib.format.read_array(
+                    io.BytesIO(members.read(info)), allow_pickle=False
+                )
+                for info in infos
+            }
+    except FileNotFoundError:
+        raise
+    except Exception as err:
+        # A damaged zip surfaces anything from BadZipFile through
+        # zlib.error, NotImplementedError and RuntimeError to ValueError;
+        # collapse them into one catchable failure mode.
+        raise ModelArchiveError(
+            f"model archive {path!r} is unreadable ({type(err).__name__}: {err})"
+        ) from err
+
+
 def load_model(model: Module, path: str) -> Module:
     """Load parameters saved by :func:`save_model` into ``model``.
 
     The module must have the same architecture (same parameter names
     and shapes).  Returns the model for chaining.
+
+    Raises:
+        ModelArchiveError: the archive is damaged.
+        FileNotFoundError: no archive at ``path``.
     """
-    with np.load(_resolve_existing(path)) as archive:
-        state = {}
-        buffers = {}
-        for key in archive.files:
-            if key.startswith(_META_PREFIX):
-                continue
-            if key.startswith(_BUFFER_PREFIX):
-                buffers[key[len(_BUFFER_PREFIX):]] = archive[key]
-                continue
-            state[key] = archive[key]
-        model.load_state_dict(state)
-        if hasattr(model, "load_persistent_buffers"):
-            model.load_persistent_buffers(buffers)
-        elif buffers:
-            raise ValueError(
-                f"archive carries buffers {sorted(buffers)} but "
-                f"{type(model).__name__} cannot load them"
-            )
-        clusters_key = f"{_META_PREFIX}tag_clusters"
-        if clusters_key in archive.files and hasattr(model, "tag_clusters"):
-            model.tag_clusters = archive[clusters_key].astype(np.int64)
-            model.clustering_active = bool(
-                archive[f"{_META_PREFIX}clustering_active"]
-            )
+    path = _resolve_existing(path)
+    archive = _read_archive(path)
+    state = {}
+    buffers = {}
+    for key, array in archive.items():
+        if key.startswith(_META_PREFIX):
+            continue
+        if key.startswith(_BUFFER_PREFIX):
+            buffers[key[len(_BUFFER_PREFIX):]] = array
+            continue
+        state[key] = array
+    model.load_state_dict(state)
+    if hasattr(model, "load_persistent_buffers"):
+        model.load_persistent_buffers(buffers)
+    elif buffers:
+        raise ValueError(
+            f"archive carries buffers {sorted(buffers)} but "
+            f"{type(model).__name__} cannot load them"
+        )
+    clusters_key = f"{_META_PREFIX}tag_clusters"
+    if clusters_key in archive and hasattr(model, "tag_clusters"):
+        model.tag_clusters = archive[clusters_key].astype(np.int64)
+        model.clustering_active = bool(
+            archive[f"{_META_PREFIX}clustering_active"]
+        )
     if hasattr(model, "refresh_epoch"):
         # Rebuild parameter-derived caches (KGAT attention adjacency,
         # DGCF intent channels) from the loaded parameters.

@@ -20,6 +20,8 @@ import math
 import threading
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from ..concurrency import new_lock, shared_state
 
 
@@ -106,6 +108,29 @@ class Histogram:
             for i, bound in enumerate(self.bounds):
                 if value <= bound:
                     self._counts[i] += 1
+
+    def observe_many(self, values) -> None:
+        """:meth:`observe` every entry of ``values``, in order, under one
+        lock acquisition.
+
+        One ``searchsorted`` finds each value's first bound at or above
+        it, so bucket counts and ``count`` equal the per-value loop's;
+        a sequential ``cumsum`` adds the values to ``sum`` in the same
+        order, so ``sum`` is bitwise equal too.
+        """
+        values = np.asarray(values, dtype=np.float64).ravel()
+        if not len(values):
+            return
+        first = np.searchsorted(np.asarray(self.bounds, dtype=np.float64), values)
+        added = np.cumsum(np.bincount(first, minlength=len(self.bounds) + 1))
+        with self._lock, np.errstate(over="ignore", invalid="ignore"):
+            # Float addition overflows to inf (and inf - inf gives NaN)
+            # silently, as in observe().
+            self.count += len(values)
+            self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+            self._counts = [
+                old + int(new) for old, new in zip(self._counts, added)
+            ]
 
     def bucket_counts(self) -> List[int]:
         """Cumulative counts per bound (excluding the +Inf bucket)."""

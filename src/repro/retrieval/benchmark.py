@@ -20,6 +20,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..eval.evaluator import csr_over_users, fill_csr_rows
 from .index import build_index
 from .retriever import ApproximateScorer
 
@@ -64,16 +65,16 @@ def ranking_overlap(
     ``u`` is ``|approx_k(u) ∩ exact_k(u)| / |exact_k(u)|`` — the
     serving-side recall@K of the approximate tier.
     """
+    if mask_items is not None:
+        indptr, flat = csr_over_users(mask_items, users)
     overlaps = []
     for start in range(0, len(users), chunk_size):
         chunk = users[start : start + chunk_size]
         exact = np.asarray(model.all_scores(chunk), dtype=np.float64).copy()
         approx = scorer.all_scores(chunk)
         if mask_items is not None:
-            for row, user in enumerate(chunk):
-                items = mask_items[int(user)]
-                exact[row, items] = -np.inf
-                approx[row, items] = -np.inf
+            fill_csr_rows(exact, indptr, flat, start, -np.inf)
+            fill_csr_rows(approx, indptr, flat, start, -np.inf)
         exact_sets = _top_k_sets(exact, top_k)
         approx_sets = _top_k_sets(approx, top_k)
         for exact_set, approx_set in zip(exact_sets, approx_sets):

@@ -151,7 +151,9 @@ class ApproximateScorer:
     """``all_scores`` adapter ranking only the probed shortlist.
 
     Drop-in for any consumer of the evaluator contract: returns
-    ``np.where(index.candidate_mask(...), model.all_scores(users), -inf)``.
+    ``np.where(index.candidate_mask(...), model.all_scores(users), -inf)``,
+    a fresh array on every call that the caller may write to (the
+    evaluator masks it in place without a copy).
     Scoring is the model's own dense BLAS pass, so this measures what
     ranking through the routing returns, not a scoring saving.
 
@@ -202,10 +204,7 @@ class ApproximateScorer:
             lengths = mask.sum(axis=1)
             self.scored_items += int(lengths.sum())
             self.queries += len(users)
-            for length in lengths:
-                metrics.histogram("retrieval.shortlist_items").observe(
-                    float(length)
-                )
+            metrics.histogram("retrieval.shortlist_items").observe_many(lengths)
             return np.where(mask, scores, -np.inf)
 
 

@@ -210,6 +210,22 @@ class TestFastMatchesReference:
         evaluator = Evaluator(train, test, top_n=(5, 20), metrics=self.ALL_METRICS)
         self.assert_equivalent(evaluator, Ties())
 
+    @pytest.mark.parametrize("scorer", ["all_equal", "integer"])
+    def test_ties_over_a_large_catalogue(self, scorer):
+        # 2,500 items reach top_k_rows' prefilter (16 * 20 = 320 items);
+        # the 40-item tie test above never does.
+        train, test = random_pair(13, num_users=60, num_items=2500)
+
+        class Ties:
+            def all_scores(self, users):
+                if scorer == "all_equal":
+                    return np.zeros((len(users), 2500))
+                rng = np.random.default_rng(np.asarray(users))
+                return rng.integers(0, 4, size=(len(users), 2500)).astype(float)
+
+        evaluator = Evaluator(train, test, top_n=(5, 20), metrics=self.ALL_METRICS)
+        self.assert_equivalent(evaluator, Ties(), chunk_size=16)
+
     def test_fast_does_not_mutate_model_scores(self):
         train, test = make_pair()
         model = RandomModel(8, 5)

@@ -1,7 +1,8 @@
 """Shared test utilities: numerical gradient checking, tiny datasets,
 primitive-chain references for the single-node loss ops, the
 ``np.add.at`` reference for the row-scatter kernel, the per-slot
-``rng.choice`` reference for the synthetic generator, the
+``rng.choice`` reference for the synthetic generator, the full-row
+selection reference for the evaluator's top-k kernel, the
 union-of-members shortlist reference for retrieval, and the legacy
 deflate checkpoint encoder."""
 
@@ -361,6 +362,22 @@ def reference_generate(
         )
         return dataset, truth
     return dataset
+
+
+# ----------------------------------------------------------------------
+# top-k reference: the full-row selection ``Evaluator._rank_chunk`` ran
+# before ``top_k_rows``, which the kernel must reproduce on every input
+# ----------------------------------------------------------------------
+def reference_top_k_rows(scores: np.ndarray, k: int):
+    """``(ids, values)`` of each row's top ``k``, best first: negate,
+    ``argpartition`` at ``k - 1``, ``argsort`` the selected prefix."""
+    negated = -np.asarray(scores)
+    k = min(k, negated.shape[1])
+    part = np.argpartition(negated, k - 1, axis=1)[:, :k]
+    part_scores = np.take_along_axis(negated, part, axis=1)
+    order = np.argsort(part_scores, axis=1)
+    ranked = np.take_along_axis(part, order, axis=1)
+    return ranked, np.take_along_axis(np.asarray(scores), ranked, axis=1)
 
 
 # ----------------------------------------------------------------------

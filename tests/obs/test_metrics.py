@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, exponential_buckets
 from repro.perf import CounterRegistry, StopwatchRegistry
@@ -79,6 +82,36 @@ class TestHistogram:
         assert h.quantile(0.5) == 0.0
         with pytest.raises(ValueError):
             h.quantile(1.5)
+
+    @given(
+        bounds=st.lists(
+            st.floats(allow_nan=False, allow_infinity=True, width=64),
+            min_size=1, max_size=8,
+        ),
+        batches=st.lists(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=20),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_observe_many_equals_per_value_observe(self, bounds, batches):
+        registry = MetricsRegistry()
+        loop = registry.histogram("loop", buckets=bounds)
+        many = registry.histogram("many", buckets=bounds)
+        for batch in batches:
+            for value in batch:
+                loop.observe(value)
+            many.observe_many(np.asarray(batch, dtype=np.float64))
+        assert many.bucket_counts() == loop.bucket_counts()
+        assert many.count == loop.count
+        # Same additions in the same order: bitwise equal (NaN included).
+        assert np.float64(many.sum).tobytes() == np.float64(loop.sum).tobytes()
+
+    def test_observe_many_accepts_integer_counts(self):
+        h = MetricsRegistry().histogram("h", buckets=[1.0, 10.0])
+        h.observe_many(np.array([0, 5, 50], dtype=np.int64))
+        assert h.bucket_counts() == [1, 2]
+        assert h.count == 3 and h.sum == 55.0
 
 
 class TestCounterRegistryCompatibility:

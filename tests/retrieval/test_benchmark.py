@@ -84,6 +84,42 @@ class TestRankingOverlap:
         ) == pytest.approx(1.0)
 
 
+    def test_masking_equals_the_per_user_loop(self):
+        # The CSR scatter replaced a per-user loop; the overlap must be
+        # the loop's, bit for bit, with unsorted and repeated items and
+        # chunks that split the users.
+        model = BPRMF(40, 300, 8, rng=np.random.default_rng(1))
+        index = build_index(model, num_partitions=4)
+        scorer = ApproximateScorer(model, index, n_probe=2)
+        rng = np.random.default_rng(2)
+        mask = [rng.integers(0, 300, size=int(rng.integers(0, 40)))
+                for _ in range(40)]
+        users = rng.permutation(40)[:33]
+
+        def looped():
+            overlaps = []
+            for start in range(0, len(users), 8):
+                chunk = users[start : start + 8]
+                exact = model.all_scores(chunk).astype(np.float64)
+                approx = scorer.all_scores(chunk)
+                for row, user in enumerate(chunk):
+                    exact[row, mask[user]] = -np.inf
+                    approx[row, mask[user]] = -np.inf
+                for e, a in zip(exact, approx):
+                    want = set(np.argsort(-e, kind="stable")[:10].tolist())
+                    want = {i for i in want if np.isfinite(e[i])}
+                    got = set(np.argsort(-a, kind="stable")[:10].tolist())
+                    got = {i for i in got if np.isfinite(a[i])}
+                    if want:
+                        overlaps.append(len(want & got) / len(want))
+            return float(np.mean(overlaps))
+
+        got = ranking_overlap(
+            model, scorer, users, mask_items=mask, top_k=10, chunk_size=8
+        )
+        assert got == looped()
+
+
 class TestCli:
     def test_smoke_exits_zero(self, capsys):
         assert main(["smoke", "--scale", "0.02", "--partitions", "4"]) == 0

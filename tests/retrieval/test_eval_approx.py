@@ -6,9 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.eval import Evaluator
 from repro.models import BPRMF
-from repro.retrieval import IndexMismatch, build_index
+from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.retrieval import ApproximateScorer, IndexMismatch, build_index
 
 NUM_PARTITIONS = 8
 #: Partial-probe metric drift bound.  Restricting candidates changes
@@ -79,3 +81,49 @@ def test_stale_index_rejected(setup):
         evaluator.evaluate(
             clone, approximate=True, index=index, n_probe=2
         )
+
+
+def test_approximate_pass_leaves_model_scores_untouched(setup):
+    # The evaluator masks the scorer's fresh array in place; the model's
+    # own score array must not see the training-item mask.
+    model, evaluator, index = setup
+    served = []
+    original = model.all_scores
+
+    def recording(users):
+        out = original(users)
+        served.append((out, out.copy()))
+        return out
+
+    model.all_scores = recording
+    try:
+        evaluator.evaluate(model, approximate=True, index=index, n_probe=2)
+    finally:
+        del model.all_scores
+    assert served
+    for out, before in served:
+        assert out.tobytes() == before.tobytes()
+
+
+def test_shortlist_histogram_takes_one_call_per_batch(setup, monkeypatch):
+    model, _, index = setup
+    calls = {"observe": 0, "observe_many": 0}
+    for name in calls:
+        original = getattr(Histogram, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Histogram, name, counted)
+    registry = MetricsRegistry()
+    previous = obs.set_metrics(registry)
+    try:
+        users = np.arange(min(40, model.num_users))
+        scores = ApproximateScorer(model, index, n_probe=2).all_scores(users)
+    finally:
+        obs.set_metrics(previous)
+    assert calls == {"observe": 0, "observe_many": 1}
+    hist = registry.histograms()["retrieval.shortlist_items"]
+    assert hist.count == len(users)
+    assert hist.sum == float(np.isfinite(scores).sum())

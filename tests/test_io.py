@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import load_model, save_model
+from repro.io import ModelArchiveError
 from repro.bench import MODEL_BUILDERS
 from repro.core import IMCAT, IMCATConfig
 from repro.models import BPRMF, LightGCN
@@ -196,3 +197,54 @@ class TestRecommendHelper:
         full = model.recommend(0, top_n=3)
         excluded = model.recommend(0, top_n=3, exclude={int(full[0])})
         assert int(full[0]) not in excluded
+
+
+class TestDamagedArchive:
+    """A damaged archive raises one typed error, never wrong weights."""
+
+    def test_every_single_bit_flip_is_caught_or_harmless(self, tmp_path):
+        model = BPRMF(6, 9, 4, np.random.default_rng(0))
+        blob = open(save_model(model, str(tmp_path / "m.npz")), "rb").read()
+        expected = {k: v.copy() for k, v in model.state_dict().items()}
+        target = BPRMF(6, 9, 4, np.random.default_rng(1))
+        path = str(tmp_path / "flipped.npz")
+        outcomes = {"error": 0, "identical": 0}
+        for bit in range(8 * len(blob)):
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+            with open(path, "wb") as handle:
+                handle.write(damaged)
+            for param in target.parameters():
+                param.data[...] = 0.0
+            try:
+                load_model(target, path)
+            except ModelArchiveError:
+                outcomes["error"] += 1
+                continue
+            state = target.state_dict()
+            assert set(state) == set(expected), f"bit {bit}"
+            for key, value in expected.items():
+                assert state[key].dtype == value.dtype, f"bit {bit}: {key}"
+                np.testing.assert_array_equal(
+                    state[key], value, err_msg=f"bit {bit}: {key}"
+                )
+            outcomes["identical"] += 1
+        assert outcomes["error"] > 0 and sum(outcomes.values()) == 8 * len(blob)
+
+    def test_truncated_and_garbage_archives(self, tmp_path):
+        model = BPRMF(6, 9, 4, np.random.default_rng(0))
+        blob = open(save_model(model, str(tmp_path / "m.npz")), "rb").read()
+        path = str(tmp_path / "bad.npz")
+        for payload in (blob[: len(blob) // 2], b"", b"not a zip at all"):
+            with open(path, "wb") as handle:
+                handle.write(payload)
+            with pytest.raises(ModelArchiveError):
+                load_model(model, path)
+
+    def test_missing_file_is_not_an_archive_error(self, tmp_path):
+        model = BPRMF(6, 9, 4, np.random.default_rng(0))
+        with pytest.raises(FileNotFoundError):
+            load_model(model, str(tmp_path / "absent.npz"))
+
+    def test_archive_error_is_a_value_error(self):
+        assert issubclass(ModelArchiveError, ValueError)
