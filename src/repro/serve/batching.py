@@ -125,7 +125,9 @@ class MicroBatcher:
         the batched scoring call raised (so the serving ladder sees the
         same failures it would see unbatched).
         """
-        excluded = set(int(i) for i in exclude) if exclude else set()
+        excluded = (
+            set(int(i) for i in exclude) if exclude is not None else set()
+        )
         pending = _Pending(int(user), int(top_n), excluded)
         with self._lock:
             self._queue.append(pending)

@@ -17,11 +17,16 @@ This module puts each shard in its own **subprocess**:
   scores;
 - :class:`ProcWorker` is the parent-side client satisfying the worker
   protocol :class:`ShardedService` expects (``recommend / poll_reload /
-  ready / health``).  Any transport problem — timeout, EOF after a
-  SIGKILL, a corrupt frame — **poisons** the connection: the worker is
-  marked broken, the front door reroutes, and the
-  :class:`~repro.serve.supervisor.Supervisor` respawns it.  A channel
-  that lied once is never trusted again;
+  ready / health``).  Its data channel is **pipelined**: a caller sends
+  as soon as the previous send is on the wire, so a second request goes
+  out while the child still scores the first.  The child answers
+  strictly in order, so each caller reads the socket once the reply
+  before its own has been read (its *turn*), then hands the turn on.
+  Any transport problem — timeout, EOF after a SIGKILL, a corrupt or
+  out-of-sequence frame — **poisons** the connection: every caller
+  queued on it gives up at once, the worker is marked broken, the front
+  door reroutes, and the :class:`~repro.serve.supervisor.Supervisor`
+  respawns it.  A channel that lied once is never trusted again;
 - :class:`ProcessPool` wires N workers behind the existing
   :class:`ShardMap` + front door, starts a supervisor, and exposes
   ``inject_fault`` (SIGKILL / hang-without-exit / corrupt-response
@@ -361,6 +366,82 @@ def _reap(proc: Optional[Any]) -> None:
     proc.join(timeout=2.0)
 
 
+@shared_state
+class _DataChannel:
+    """One data connection to a worker, pipelined in send order.
+
+    ``_send_lock`` guards sequence numbering and ``send_frame``, so
+    frames never interleave and sequence order is wire order.  The child
+    replies strictly in order, so the caller holding sequence *s* reads
+    the socket only once reply *s − 1* has been read: ``_turn_lock``
+    guards that reply counter and the failure flag, and ``_turn`` is the
+    condition queued callers wait on.  Whoever reads must either advance
+    the counter or :meth:`fail` the channel, so the queue never stalls
+    behind a caller that gave up.
+
+    Built by :meth:`ProcWorker.start` next to the socket it wraps: a
+    caller still holding a torn-down channel can only ever touch that
+    channel's counters, never those of a respawned one.
+    """
+
+    def __init__(self, sock: Any, worker_id: int) -> None:
+        self.sock = sock
+        self._send_lock = new_lock(f"serve.ProcWorker{worker_id}.send")
+        self._turn_lock = new_lock(f"serve.ProcWorker{worker_id}.turn")
+        self._turn = threading.Condition(self._turn_lock)
+        self._next_seq = 1
+        self._next_reply = 1
+        self._failure: Optional[str] = None
+
+    def send(self, message: Dict[str, Any]) -> int:
+        """Number ``message``, put it on the wire, return its sequence."""
+        with self._send_lock:
+            seq = self._next_seq
+            self._next_seq = seq + 1
+            message["seq"] = seq
+            send_frame(self.sock, message)
+        return seq
+
+    def receive(self, seq: int, timeout: float) -> Dict[str, Any]:
+        """Wait for the turn of reply ``seq``, then read it.
+
+        ``timeout`` starts when the turn begins, so a request queued
+        behind a slow one is not charged for the wait.  Raises
+        :class:`TransportError` when the channel failed (here or in an
+        earlier caller) — immediately, not after ``timeout``.
+        """
+        with self._turn_lock:
+            while self._next_reply != seq and self._failure is None:
+                self._turn.wait()
+            if self._failure is not None:
+                raise TransportError(f"channel poisoned: {self._failure}")
+        try:
+            reply = recv_frame(self.sock, timeout)
+            if reply.get("seq") != seq:
+                raise TransportError(
+                    f"answered out of sequence "
+                    f"(got {reply.get('seq')}, wanted {seq})"
+                )
+        except BaseException as err:
+            self.fail(f"{type(err).__name__}: {err}")
+            raise
+        with self._turn_lock:
+            self._next_reply = seq + 1
+            self._turn.notify_all()
+        return reply
+
+    def fail(self, reason: str) -> None:
+        """Poison the channel and release every caller queued on it."""
+        with self._turn_lock:
+            if self._failure is None:
+                self._failure = reason
+            self._turn.notify_all()
+
+    def close(self) -> None:
+        self.fail("channel closed")
+        _close_quietly(self.sock)
+
+
 @shared_state(guard="_lock")
 class ProcWorker:
     """Parent-side handle to one worker subprocess.
@@ -371,18 +452,21 @@ class ProcWorker:
     broken``).
 
     Failure semantics: every transport problem on the data channel
-    marks the worker **broken** — subsequent calls raise
-    :class:`WorkerUnavailable` immediately (the front door reroutes)
-    until :meth:`respawn` brings up a fresh process on fresh channels.
+    marks the worker **broken** — callers already queued on the channel
+    and all subsequent calls raise :class:`WorkerUnavailable`
+    immediately (the front door reroutes) until :meth:`respawn` brings
+    up a fresh process on fresh channels.
     ``recommend`` raises ``ValueError`` only for malformed requests,
     matching the in-process service contract.
 
     Locking: ``_lock`` guards the mutable slots (process handle,
-    channels, flags, in-flight count); ``_data_lock`` / ``_ctrl_lock``
-    serialise their channels so request/reply frames never interleave.
-    Channel locks are never taken while holding ``_lock``, and blocking
-    waits (socket recv aside, which the lint whitelists) happen outside
-    all of them.
+    channels, flags, in-flight count).  The data channel is pipelined by
+    :class:`_DataChannel`: its send lock is held only to number and send
+    one frame, and callers then read their replies in send order, each
+    waiting on the channel's turn condition for the reply before its
+    own.  ``_ctrl_lock`` serialises the heartbeat channel, one ping and
+    its pong at a time.  Channel locks are never taken while holding
+    ``_lock``, and socket reads happen outside every lock.
     """
 
     def __init__(
@@ -408,12 +492,10 @@ class ProcWorker:
             )
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = new_lock(f"serve.ProcWorker{self.worker_id}")
-        self._data_lock = new_lock(f"serve.ProcWorker{self.worker_id}.data")
         self._ctrl_lock = new_lock(f"serve.ProcWorker{self.worker_id}.ctrl")
-        self._data_seq = count(1)
         self._ctrl_seq = count(1)
         self._proc: Optional[Any] = None
-        self._data: Optional[Any] = None
+        self._data: Optional[_DataChannel] = None
         self._ctrl: Optional[Any] = None
         self._broken = True  # nothing to talk to until start()
         self._closed = False
@@ -457,9 +539,10 @@ class ProcWorker:
                 f"worker {self.worker_id} failed to start: "
                 f"{hello.get('message', hello)}"
             )
+        channel = _DataChannel(parent_data, self.worker_id)
         with self._lock:
             self._proc = proc
-            self._data = parent_data
+            self._data = channel
             self._ctrl = parent_ctrl
             self._broken = False
             self._closed = False
@@ -473,7 +556,8 @@ class ProcWorker:
             self._data = None
             self._ctrl = None
             self._broken = True
-        _close_quietly(data)
+        if data is not None:
+            data.close()
         _close_quietly(ctrl)
         _reap(proc)
         self.start(timeout)
@@ -513,7 +597,8 @@ class ProcWorker:
         if proc is not None:
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
         _reap(proc)
-        _close_quietly(data)
+        if data is not None:
+            data.close()
         _close_quietly(ctrl)
         with self._lock:
             self._proc = None
@@ -521,15 +606,18 @@ class ProcWorker:
             self._ctrl = None
             self._broken = True
 
-    def _request_shutdown(self, sock: Any, deadline: float) -> bool:
-        with self._data_lock:
-            try:
-                send_frame(
-                    sock, {"op": "shutdown", "seq": next(self._data_seq)}
-                )
-                recv_frame(sock, max(0.1, deadline - time.monotonic()))
-            except TransportError:
-                return False  # already dead; _reap finishes the job
+    def _request_shutdown(
+        self, channel: _DataChannel, deadline: float
+    ) -> bool:
+        """Queue a ``shutdown`` behind any requests still in flight."""
+        try:
+            self._roundtrip(
+                channel,
+                {"op": "shutdown"},
+                timeout=max(0.1, deadline - time.monotonic()),
+            )
+        except WorkerUnavailable:
+            return False  # already dead; _reap finishes the job
         return True
 
     # ------------------------------------------------------------------
@@ -691,7 +779,7 @@ class ProcWorker:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _data_channel(self) -> Any:
+    def _data_channel(self) -> _DataChannel:
         with self._lock:
             if self._closed:
                 raise WorkerUnavailable(
@@ -703,33 +791,37 @@ class ProcWorker:
 
     def _roundtrip(
         self,
-        sock: Any,
+        channel: _DataChannel,
         message: Dict[str, Any],
         timeout: Optional[float] = None,
     ) -> Dict[str, Any]:
         wait = self.request_timeout if timeout is None else timeout
-        with self._data_lock:
-            seq = next(self._data_seq)
-            message["seq"] = seq
-            try:
-                send_frame(sock, message)
-                reply = recv_frame(sock, wait)
-            except TransportError as err:
-                self._poison()
-                raise WorkerUnavailable(
-                    f"worker {self.worker_id} transport failed: {err}"
-                ) from err
-        if reply.get("seq") != seq:
-            self._poison()
+        try:
+            seq = channel.send(message)
+            return channel.receive(seq, wait)
+        except TransportError as err:
+            self._poison(channel, str(err))
             raise WorkerUnavailable(
-                f"worker {self.worker_id} answered out of sequence "
-                f"(got {reply.get('seq')}, wanted {seq})"
-            )
-        return reply
+                f"worker {self.worker_id} transport failed: {err}"
+            ) from err
 
-    def _poison(self) -> None:
+    def _poison(
+        self, channel: Optional[_DataChannel] = None, reason: str = "poisoned"
+    ) -> None:
+        """Mark the worker broken and fail its data channel.
+
+        ``channel`` names the connection that failed; a caller still
+        holding one that a respawn already replaced leaves the new
+        process alone.
+        """
         with self._lock:
-            self._broken = True
+            current = self._data
+            if channel is None or channel is current:
+                self._broken = True
+        if channel is None:
+            channel = current
+        if channel is not None:
+            channel.fail(reason)
 
 
 # ----------------------------------------------------------------------

@@ -23,16 +23,23 @@ worker-side chaos op flips payload bytes explicitly (``corrupt=True``)
 to simulate a worker returning damaged responses.
 
 Timeouts: :func:`recv_frame` takes a ``timeout`` in seconds and raises
-:class:`TransportTimeout` when it expires — the heartbeat deadline and
-the per-request wait both ride on it.  A peer that closed (or was
-SIGKILL'd) surfaces as :class:`TransportClosed`.
+:class:`TransportTimeout` when no whole frame arrived by then — the
+heartbeat deadline and the per-request wait both ride on it.  The
+deadline is enforced by polling for readability; the socket itself stays
+blocking.  A socket-level timeout (``settimeout``) would be shared with
+every other thread using the socket, so a reader's deadline would also
+cut short a concurrent :func:`send_frame` — which the pipelined worker
+channel (one thread sending while another reads) must never see.  A peer
+that closed (or was SIGKILL'd) surfaces as :class:`TransportClosed`.
 """
 
 from __future__ import annotations
 
 import pickle
+import select
 import socket
 import struct
+import time
 import zlib
 from typing import Any, Optional, Tuple
 
@@ -107,12 +114,38 @@ def send_frame(sock: socket.socket, message: Any, *,
         raise TransportClosed(f"peer unreachable while sending: {err}") from err
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
+def _wait_readable(sock: socket.socket, deadline: Optional[float]) -> None:
+    """Block until ``sock`` has bytes (or EOF) or ``deadline`` passes.
+
+    ``deadline`` is a :func:`time.monotonic` instant, or ``None`` to wait
+    without limit.
+    """
+    wait_ms = None
+    if deadline is not None:
+        wait_ms = max(deadline - time.monotonic(), 0.0) * 1000.0
+    try:
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        ready = poller.poll(wait_ms)
+    except (OSError, ValueError) as err:
+        raise TransportClosed(f"peer unreachable: {err}") from err
+    if not ready:
+        raise TransportTimeout("no frame within the receive deadline")
+
+
+def _recv_exact(
+    sock: socket.socket, count: int, deadline: Optional[float]
+) -> bytes:
     chunks = []
     remaining = count
     while remaining > 0:
         try:
-            chunk = sock.recv(min(remaining, 1 << 20))
+            # Take what is buffered and poll only when nothing is: a
+            # payload usually arrives together with its header.
+            chunk = sock.recv(min(remaining, 1 << 20), socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            _wait_readable(sock, deadline)
+            continue
         except socket.timeout as err:
             raise TransportTimeout(
                 f"no frame within the receive deadline ({err})"
@@ -131,6 +164,9 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 def recv_frame(sock: socket.socket, timeout: Optional[float] = None) -> Any:
     """Read one frame from ``sock`` and return the unpickled message.
 
+    Never changes the socket's blocking mode or timeout, so a concurrent
+    :func:`send_frame` on the same socket is unaffected by ``timeout``.
+
     Args:
         sock: the channel to read from.
         timeout: seconds to wait for the *whole* frame (``None`` blocks
@@ -142,15 +178,15 @@ def recv_frame(sock: socket.socket, timeout: Optional[float] = None) -> Any:
         TransportError: the frame failed its CRC, exceeded
             :data:`MAX_FRAME_BYTES`, or would not unpickle.
     """
-    sock.settimeout(timeout)
-    header = _recv_exact(sock, HEADER.size)
+    deadline = None if timeout is None else time.monotonic() + timeout
+    header = _recv_exact(sock, HEADER.size, deadline)
     length, crc = HEADER.unpack(header)
     if length > MAX_FRAME_BYTES:
         raise TransportError(
             f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte cap "
             f"(corrupt prefix?)"
         )
-    payload = _recv_exact(sock, length)
+    payload = _recv_exact(sock, length, deadline)
     if zlib.crc32(payload) != crc:
         raise TransportError(
             "frame checksum mismatch (torn or corrupted payload)"

@@ -172,6 +172,15 @@ class SanitizedLock:
             return False
         return self._inner.locked()
 
+    def _is_owned(self) -> bool:
+        """``threading.Condition`` hook: does this thread hold the lock?
+
+        Without it the condition probes ownership by re-acquiring the
+        lock non-blockingly, which the watchdog reports as a
+        self-deadlock.
+        """
+        return self.uid in _held()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "rlock" if self.reentrant else "lock"
         return f"<SanitizedLock {self.name!r} {kind} #{self.uid}>"

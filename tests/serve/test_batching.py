@@ -159,6 +159,25 @@ class TestFlushBounds:
             MicroBatcher(lambda: None, max_wait=-1.0)
 
 
+class TestExclude:
+    @pytest.mark.parametrize(
+        "exclude",
+        [np.array([0]), np.array([3, 5]), np.array([0, 7, 2])],
+        ids=["item-zero-alone", "two-items", "with-item-zero"],
+    )
+    def test_array_exclusions_match_the_unbatched_ranking(self, exclude):
+        # A one-element array holding item 0 is falsy; a longer array
+        # has no truth value at all.  Both must exclude exactly.
+        model = ScriptedModel()
+        batcher = MicroBatcher(lambda: model, max_batch=1, max_wait=0.0)
+        top_n = model.num_items  # the full ranking, so item 0 shows
+        items = batcher.recommend(4, top_n=top_n, exclude=exclude)
+        expected = model.recommend(4, top_n=top_n, exclude=set(exclude))
+        np.testing.assert_array_equal(items, expected)
+        assert len(items) == model.num_items - len(exclude)
+        assert not set(items.tolist()) & set(exclude.tolist())
+
+
 class TestFailureFanout:
     def test_scoring_error_reaches_every_caller(self):
         model = ScriptedModel(fail_times=10**9)

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import testing
+from repro.ckpt import CheckpointManager
 from repro.models import BPRMF
 from repro.obs import MetricsRegistry
 from repro.serve import (
@@ -30,6 +31,14 @@ from repro.serve import (
     WorkerSpec,
     WorkerUnavailable,
     build_service,
+)
+from repro.serve import proc
+from repro.serve.provider import RELOADED
+from repro.serve.transport import (
+    TransportTimeout,
+    recv_frame,
+    send_frame,
+    worker_channel,
 )
 
 NUM_USERS, NUM_ITEMS, DIM = 32, 12, 6
@@ -332,3 +341,212 @@ class TestSupervisorUnit:
             assert entry["alive"] is True
             assert entry["missed"] == 0
             assert entry["respawn_in"] is None
+
+
+# ----------------------------------------------------------------------
+# the pipelined data channel
+# ----------------------------------------------------------------------
+SLOW_SCORE_S = 0.05
+
+
+class SlowBPRMF(BPRMF):
+    """BPRMF that stalls before scoring, so requests overlap in flight."""
+
+    def all_scores(self, users):
+        time.sleep(SLOW_SCORE_S)
+        return super().all_scores(users)
+
+
+def make_slow_model():
+    return SlowBPRMF(NUM_USERS, NUM_ITEMS, DIM, rng=np.random.default_rng(7))
+
+
+class SlowReloadBuilder:
+    """Builds instantly the first time (start-up), slowly afterwards
+    (every hot reload).  Called only inside the forked worker."""
+
+    def __init__(self, delay):
+        self.delay = delay
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        if self.calls > 1:
+            time.sleep(self.delay)
+        return make_model()
+
+
+def snapshot(step):
+    return {
+        "fingerprint": "fp-pipeline",
+        "step": step,
+        "model": make_model().state_dict(),
+    }
+
+
+def record_wire(monkeypatch):
+    """Log the parent's data frames as ``(direction, seq)`` in order.
+
+    Install *after* the worker started, so the fork and the start-up
+    handshake run on the real transport.
+    """
+    log = []
+    lock = threading.Lock()
+    real_send, real_recv = proc.send_frame, proc.recv_frame
+
+    def send(sock, message, **kwargs):
+        real_send(sock, message, **kwargs)
+        with lock:
+            log.append(("send", message.get("seq")))
+
+    def recv(sock, timeout=None):
+        reply = real_recv(sock, timeout)
+        with lock:
+            log.append(("recv", reply.get("seq")))
+        return reply
+
+    monkeypatch.setattr(proc, "send_frame", send)
+    monkeypatch.setattr(proc, "recv_frame", recv)
+    return log
+
+
+def sends(log):
+    return sum(1 for direction, _ in log if direction == "send")
+
+
+def in_thread(fn):
+    """Run ``fn`` in a thread; the returned dict gets its outcome."""
+    outcome = {}
+
+    def body():
+        start = time.monotonic()
+        try:
+            outcome["value"] = fn()
+        except Exception as err:  # noqa: BLE001 - recorded for the assert
+            outcome["error"] = err
+        outcome["elapsed"] = time.monotonic() - start
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    outcome["thread"] = thread
+    return outcome
+
+
+def two_in_flight(log, first, second):
+    """Start ``first``; once its frame is on the wire, start ``second``;
+    return once both requests have been sent."""
+    a = in_thread(first)
+    assert wait_until(lambda: sends(log) >= 1, timeout=2.0)
+    b = in_thread(second)
+    assert wait_until(lambda: sends(log) >= 2, timeout=2.0)
+    return a, b
+
+
+class TestPipelining:
+    def test_second_request_is_sent_before_the_first_reply_is_read(
+        self, monkeypatch
+    ):
+        worker = ProcWorker(make_spec(builder=make_slow_model)).start()
+        try:
+            log = record_wire(monkeypatch)
+            a, b = two_in_flight(
+                log,
+                lambda: worker.recommend(1, top_n=2),
+                lambda: worker.recommend(2, top_n=2),
+            )
+            for outcome in (a, b):
+                outcome["thread"].join(5.0)
+                assert "error" not in outcome
+                assert outcome["value"].level == LEVEL_LIVE
+            assert log == [("send", 1), ("send", 2), ("recv", 1), ("recv", 2)]
+        finally:
+            worker.shutdown(drain=False, timeout=1.0)
+
+    @pytest.mark.parametrize("fault", ["sigkill", "corrupt", "hang"])
+    def test_fault_fails_both_in_flight_callers_within_one_timeout(
+        self, monkeypatch, fault
+    ):
+        timeout = 1.0
+        worker = ProcWorker(
+            make_spec(builder=make_slow_model), request_timeout=timeout
+        ).start()
+        try:
+            if fault == "corrupt":
+                assert worker.corrupt_next(1)
+            if fault == "hang":
+                worker.hang(30.0)
+                # The control stream is in order: a missed ping proves
+                # the child took the hang before any request arrives.
+                assert not worker.ping(0.2)
+            log = record_wire(monkeypatch)
+            a, b = two_in_flight(
+                log,
+                lambda: worker.recommend(1, top_n=2),
+                lambda: worker.recommend(2, top_n=2),
+            )
+            if fault == "sigkill":
+                os.kill(worker.pid, signal.SIGKILL)
+            # A hang is only detected by the first reply's deadline; the
+            # queued caller must then fail at once, not after its own.
+            limit = timeout * (1.5 if fault == "hang" else 1.0)
+            for outcome in (a, b):
+                outcome["thread"].join(5.0)
+                assert isinstance(outcome.get("error"), WorkerUnavailable)
+                assert outcome["elapsed"] < limit
+            assert worker.broken()
+            worker.respawn()
+            assert not worker.broken()
+            assert worker.recommend(1, top_n=2).level == LEVEL_LIVE
+        finally:
+            worker.shutdown(drain=False, timeout=1.0)
+
+    def test_request_queued_behind_a_slow_reload_is_answered(
+        self, monkeypatch, tmp_path
+    ):
+        directory = str(tmp_path / "ckpt")
+        manager = CheckpointManager(directory)
+        manager.save(snapshot(1), step=1)
+        # The reload outlasts the request timeout; the queued request's
+        # deadline starts at its turn, so it must still be answered.
+        worker = ProcWorker(
+            make_spec(
+                builder=SlowReloadBuilder(0.8), checkpoint_dir=directory
+            ),
+            request_timeout=0.5,
+        ).start()
+        try:
+            manager.save(snapshot(2), step=2)
+            log = record_wire(monkeypatch)
+            reload, request = two_in_flight(
+                log, worker.poll_reload, lambda: worker.recommend(1, top_n=2)
+            )
+            for outcome in (reload, request):
+                outcome["thread"].join(5.0)
+                assert "error" not in outcome
+            assert reload["value"] == RELOADED
+            assert request["value"].level == LEVEL_LIVE
+            assert request["value"].model_version == "ckpt-step-2"
+            assert request["elapsed"] > 0.5
+            assert not worker.broken()
+        finally:
+            worker.shutdown(drain=False, timeout=1.0)
+
+    def test_receive_deadline_never_times_out_a_concurrent_send(self):
+        # The reader waits with a short deadline while another thread
+        # sends a frame larger than the socket buffer to a peer that
+        # drains it late: the send must outlast the reader's deadline.
+        parent, child = worker_channel()
+        try:
+            message = {"op": "bulk", "payload": b"x" * (4 << 20)}
+            reader = in_thread(lambda: recv_frame(parent, 0.3))
+            time.sleep(0.05)
+            sender = in_thread(lambda: send_frame(parent, message))
+            reader["thread"].join(5.0)
+            assert isinstance(reader.get("error"), TransportTimeout)
+            time.sleep(0.5)  # the sender is still blocked, past 0.3 s
+            assert recv_frame(child, 5.0) == message
+            sender["thread"].join(5.0)
+            assert "error" not in sender
+        finally:
+            parent.close()
+            child.close()

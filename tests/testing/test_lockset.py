@@ -167,6 +167,28 @@ class TestDeadlockWatchdog:
             with lock:
                 pass
 
+    def test_condition_on_a_sanitized_lock_waits_and_notifies(
+        self, sanitizer
+    ):
+        # Condition probes ownership through the lock; the probe must
+        # not read as the holder re-acquiring it.
+        lock = new_lock("self.condition")
+        condition = threading.Condition(lock)
+        ready = []
+
+        def notifier():
+            with lock:
+                ready.append(True)
+                condition.notify_all()
+
+        with lock:
+            thread = threading.Thread(target=notifier)
+            thread.start()
+            assert condition.wait_for(lambda: ready, timeout=5.0)
+        thread.join()
+        with pytest.raises(RuntimeError):
+            condition.notify()  # not held: refused, not a hazard
+
 
 class TestArming:
     def test_factory_swap_round_trip(self, disarmed_baseline):
