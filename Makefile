@@ -22,13 +22,15 @@ test: lint
 
 # Concurrency gate: the whole-program lock-discipline pass
 # (LNT006-LNT010) must exit 0 over src/, and the threaded test subset
-# (including the process worker's pipelined data channel) must run
-# clean under the lockset race/deadlock sanitizer.
+# (including the process worker's pipelined data channel and the
+# micro-batcher's flush rule) must run clean under the lockset
+# race/deadlock sanitizer.
 concurrency-smoke:
 	$(PYTHON) -m repro.lint --concurrency src
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -q \
 		tests/testing/test_lockset.py tests/serve/test_concurrency.py \
 		"tests/serve/test_proc.py::TestPipelining" \
+		tests/serve/test_batching.py tests/serve/test_offline_equality.py \
 		tests/perf/test_thread_safety.py tests/analysis
 
 bench-smoke:

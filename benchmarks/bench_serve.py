@@ -84,9 +84,7 @@ def build_pool(num_workers: int, service_seconds: float,
                 provider,
                 popularity=popularity,
                 default_top_n=10,
-                batcher=MicroBatcher(
-                    provider.model, max_batch=MAX_BATCH, max_wait=0.002
-                ),
+                batcher=MicroBatcher(provider.model, max_batch=MAX_BATCH),
             )
         )
     return ShardedService(workers, popularity=popularity,

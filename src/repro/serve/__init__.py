@@ -18,9 +18,10 @@ stack covers every registered backbone):
   user-hash (jump-consistent) shard map over N worker replicas, each
   wrapping its own service + provider, behind a failover front door
   that preserves the never-error contract pool-wide;
-- :class:`MicroBatcher` — per-worker micro-batched scoring: concurrent
-  requests coalesce into a single matmul, flushed on max-batch-size or
-  max-wait, bit-identical to unbatched scoring;
+- :class:`MicroBatcher` — per-worker micro-batched scoring: a lone
+  request is scored at once, and requests that queue behind a running
+  batch share the next matmul (at most max-batch-size of them), ranking
+  exactly like the single-user call;
 - :mod:`repro.serve.proc` — **process isolation**: each shard in its
   own supervised subprocess behind the same front door
   (``backend="process"`` via :func:`build_service`), with a

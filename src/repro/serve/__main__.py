@@ -156,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="micro-batcher flush size per worker (pooled mode)",
     )
     parser.add_argument(
-        "--batch-wait-ms", type=float, default=2.0,
-        help="micro-batcher max wait before a partial flush (pooled "
-             "mode; 0 flushes immediately)",
-    )
-    parser.add_argument(
         "--slo-p99-ms", type=float, default=500.0,
         help="p99 latency SLO asserted on the pooled load run",
     )
@@ -254,11 +249,7 @@ def _run_pool(args, dataset, split, cell, deadline, retrieval_params) -> int:
             provider = StaticModelProvider(model, version=f"static-w{wid}")
         batcher = None
         if args.max_batch > 1:
-            batcher = MicroBatcher(
-                provider.model,
-                max_batch=args.max_batch,
-                max_wait=max(args.batch_wait_ms, 0.0) / 1000.0,
-            )
+            batcher = MicroBatcher(provider.model, max_batch=args.max_batch)
         tier = None
         if args.retrieval and not hot_reload:
             tier = RetrievalTier(n_probe=args.n_probe, **retrieval_params)

@@ -6,26 +6,27 @@ call; :class:`MicroBatcher` turns that into one ``all_scores`` call per
 users pays the fixed per-call cost (model lookup, GIL round-trips, and
 for real backends the matmul launch) once instead of C times.
 
-The flush discipline is the classic pair of bounds:
+The flush rule is natural batching, with no timed window:
 
-- **max batch size** — a batch never exceeds ``max_batch`` requests, so
-  one matmul stays cache-friendly and latency stays bounded;
-- **max wait** — the first request in a batch waits at most
-  ``max_wait`` seconds for company before the batch flushes anyway, so
-  a lone request never starves (property-tested).
+- a leader scores whatever is queued the moment it takes the lead, so
+  a lone request is scored at once;
+- requests that arrive while a batch is scoring queue up and share the
+  next flush, which never exceeds ``max_batch`` requests, so one
+  matmul stays cache-friendly and latency stays bounded.
 
 Coordination is leader/follower with no background thread: the first
-thread to find no active leader becomes the leader, waits out the batch
-window, executes the batched scoring call, distributes results, and
-keeps draining while requests remain queued.  Followers park on a
-per-request :class:`threading.Event`.  All queue state lives under one
-mutex; the scoring call itself runs outside it.
+thread to find no active leader becomes the leader, executes the
+batched scoring call, distributes results, and keeps draining while
+requests remain queued.  Followers park on a per-request
+:class:`threading.Event`.  All queue state lives under one mutex; the
+scoring call itself runs outside it.
 
-Correctness contract (property-tested in ``tests/serve/test_batching``):
-for any interleaving of concurrent callers, each caller receives
-exactly the item list an unbatched ``model.recommend`` call would have
-produced — same scores row, same :func:`repro.eval.metrics.rank_items`
-ranking, same exclusion handling.
+Correctness contract (tested in ``tests/serve/test_batching`` and
+``tests/serve/test_offline_equality``): for any interleaving of
+concurrent callers, each caller receives the ranking the single-user
+call produces — ``rank_items`` over ``model.all_scores([user])`` with
+the same exclusion handling.  The rows of a batched product need not
+equal single-user rows bitwise; the rankings are what is pinned.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class _Pending:
         self.error: Optional[BaseException] = None
 
 
-@shared_state(guard="_lock", exempt=("_full",))
+@shared_state(guard="_lock")
 class MicroBatcher:
     """Coalesce concurrent ``recommend`` calls into batched scoring.
 
@@ -73,18 +74,18 @@ class MicroBatcher:
             batches are honoured (pass ``provider.model``).
         max_batch: largest number of requests scored by one
             ``all_scores`` call.
-        max_wait: seconds the first request of a batch waits for more
-            requests before flushing a partial batch.
+        max_wait: has no effect; no request waits for company.  It is
+            still accepted (and still rejected when negative) only so
+            callers that pass it, such as the perfbench serve-uniform
+            workload, keep working.
         result_timeout: safety net for callers waiting on a result; a
             leader failing so hard it cannot even record an error
             surfaces as :class:`BatchTimeout` instead of a hang.
         counters: optional counter registry (``serve.batch.*`` stats).
 
     Thread safety: the queue, the leader flag, and the counters are the
-    only shared state; all of it is mutated under ``_lock``.  ``_full``
-    is a :class:`threading.Event` (self-synchronising, hence exempt)
-    that wakes a waiting leader early when the queue reaches
-    ``max_batch``.  Scoring runs with no lock held.
+    only shared state; all of it is mutated under ``_lock``.  Scoring
+    runs with no lock held.
     """
 
     def __init__(
@@ -92,7 +93,7 @@ class MicroBatcher:
         model_fn: Callable[[], Any],
         *,
         max_batch: int = 8,
-        max_wait: float = 0.002,
+        max_wait: float = 0.0,
         result_timeout: float = 30.0,
         counters: Optional[Any] = None,
     ) -> None:
@@ -102,13 +103,11 @@ class MicroBatcher:
             raise ValueError(f"max_wait must be >= 0, got {max_wait}")
         self._model_fn = model_fn
         self.max_batch = max_batch
-        self.max_wait = max_wait
         self.result_timeout = result_timeout
         self.counters = counters
         self._lock = new_lock("serve.MicroBatcher")
         self._queue: list = []
         self._leading = False
-        self._full = threading.Event()
 
     # ------------------------------------------------------------------
     # the caller-facing path
@@ -131,8 +130,6 @@ class MicroBatcher:
         pending = _Pending(int(user), int(top_n), excluded)
         with self._lock:
             self._queue.append(pending)
-            if len(self._queue) >= self.max_batch:
-                self._full.set()
             lead = not self._leading
             if lead:
                 self._leading = True
@@ -153,24 +150,18 @@ class MicroBatcher:
     def _lead(self) -> None:
         """Collect-and-flush loop run by the thread holding leadership.
 
-        The first batch honours the ``max_wait`` window; follow-up
-        batches flush immediately (their requests have already waited
-        at least one flush).  Leadership is released only when the
-        queue is observed empty under the lock, so a queued request can
-        never be left behind without an active leader.
+        Every batch flushes at once with what is queued: the first holds
+        the leader's own request and any queued just after it, later
+        ones hold the requests that queued while the previous batch was
+        scoring.  Leadership is released only when the queue is
+        observed empty under the lock, so a queued request can never be
+        left behind without an active leader.
         """
-        first = True
         while True:
-            if first:
-                self._full.wait(self.max_wait)
-                first = False
             try:
                 with self._lock:
                     batch = self._queue[: self.max_batch]
                     del self._queue[: len(batch)]
-                    self._full.clear()
-                    if len(self._queue) >= self.max_batch:
-                        self._full.set()
                     if not batch:
                         self._leading = False
                         return

@@ -167,9 +167,10 @@ class RecommendationService:
         batcher: optional :class:`repro.serve.batching.MicroBatcher`;
             the live rung then scores through the shared micro-batch
             (one matmul per batch of concurrent requests) instead of a
-            per-request ``model.recommend`` call.  Batched output is
-            bit-identical to unbatched scoring (property-tested), so
-            the ladder, breaker, and deadline semantics are unchanged —
+            per-request ``model.recommend`` call.  Batched answers rank
+            exactly like the single-user call (tested against the
+            offline ranking), so the ladder, breaker, and deadline
+            semantics are unchanged —
             batch-level failures surface per request exactly like model
             failures.  When both ``retrieval`` and ``batcher`` are set
             the retrieval tier wins (it already shortlists per user).

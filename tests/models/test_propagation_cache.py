@@ -228,7 +228,7 @@ def test_served_requests_propagate_once(build, small_split):
     model.begin_step()
     provider = StaticModelProvider(model)
     service = RecommendationService(
-        provider, batcher=MicroBatcher(provider.model, max_wait=0.0)
+        provider, batcher=MicroBatcher(provider.model)
     )
     for user, want in zip(users, expected):
         response = service.recommend(user, top_n=10, exclude=train_items[user])

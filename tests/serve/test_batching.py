@@ -1,8 +1,9 @@
-"""Micro-batcher properties: bit-identity, flush bounds, error fanout."""
+"""Micro-batcher properties: bit-identity, flush rule, error fanout."""
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -42,6 +43,78 @@ class ScriptedModel(FakeModel):
         )
 
 
+class ScoringGate:
+    """Holds the first scoring call open until ``release`` is set.
+
+    The only deterministic way to queue requests behind a running
+    batch: the lead caller's scoring blocks here while the others
+    queue, so the next flush is known to hold all of them.
+    """
+
+    def __init__(self):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def pass_through(self):
+        if self.entered.is_set():
+            return
+        self.entered.set()
+        if not self.release.wait(10.0):
+            raise RuntimeError("scoring gate was never released")
+
+
+class GatedModel(ScriptedModel):
+    def __init__(self):
+        super().__init__()
+        self.gate = ScoringGate()
+
+    def all_scores(self, users):
+        self.gate.pass_through()
+        return super().all_scores(users)
+
+
+def wait_queued(batcher, count, timeout=10.0):
+    """Block until ``count`` requests sit in the batcher's queue."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with batcher._lock:
+            if len(batcher._queue) >= count:
+                return
+        assert time.monotonic() < deadline, f"{count} callers never queued"
+        time.sleep(0.001)
+
+
+def run_behind_gate(batcher, gate, lead, followers, lead_timeout=10.0):
+    """Run ``lead`` until its scoring is held open by ``gate``, queue
+    every ``followers`` call behind it, then release; returns the
+    callers' errors.  Fails if the lead is not scored within
+    ``lead_timeout`` seconds."""
+    errors = []
+
+    def wrap(fn):
+        try:
+            fn()
+        except Exception as exc:  # noqa: BLE001 - recorded for the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=wrap, args=(lead,))]
+    threads[0].start()
+    try:
+        assert gate.entered.wait(lead_timeout), (
+            f"the lead request was not scored within {lead_timeout}s"
+        )
+        for fn in followers:
+            threads.append(threading.Thread(target=wrap, args=(fn,)))
+            threads[-1].start()
+        wait_queued(batcher, len(followers))
+    finally:
+        gate.release.set()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
 def run_concurrently(workers):
     barrier = threading.Barrier(len(workers))
     errors = []
@@ -69,9 +142,7 @@ class TestBitIdentity:
         exactly the unbatched ``model.recommend`` answer."""
         model = ScriptedModel()
         reference = ScriptedModel()
-        batcher = MicroBatcher(
-            lambda: model, max_batch=max_batch, max_wait=0.002
-        )
+        batcher = MicroBatcher(lambda: model, max_batch=max_batch)
         results = {}
 
         def call(user):
@@ -94,7 +165,7 @@ class TestBitIdentity:
         must stay correct as leadership changes hands."""
         model = ScriptedModel()
         reference = ScriptedModel()
-        batcher = MicroBatcher(lambda: model, max_batch=4, max_wait=0.001)
+        batcher = MicroBatcher(lambda: model, max_batch=4)
         for round_id, callers in enumerate((3, 8, 1, 5)):
             results = {}
 
@@ -112,18 +183,53 @@ class TestBitIdentity:
 
 
 class TestFlushBounds:
-    def test_max_wait_flush_always_fires_for_a_lone_request(self):
-        """A single request must not starve waiting for company: the
-        max-wait window flushes a partial (even singleton) batch."""
+    def test_lone_request_is_scored_at_once(self):
+        """A single request never waits for company, whatever
+        ``max_wait`` says: it is scored alone, straight away."""
         model = ScriptedModel()
-        batcher = MicroBatcher(lambda: model, max_batch=64, max_wait=0.01)
+        batcher = MicroBatcher(lambda: model, max_batch=64, max_wait=5.0)
+        start = time.monotonic()
         items = batcher.recommend(2, top_n=3)
+        assert time.monotonic() - start < 1.0
         assert items.size == 3
         assert model.batch_sizes == [1]
 
+    @pytest.mark.parametrize(
+        "followers,max_batch,expected",
+        [(3, 8, [1, 3]), (8, 8, [1, 8]), (11, 4, [1, 4, 4, 3])],
+    )
+    def test_callers_queued_behind_a_running_batch_share_the_next_flush(
+        self, followers, max_batch, expected
+    ):
+        """The lead request is scored alone at once; everyone who
+        queued while it scored shares the next flush, capped at
+        ``max_batch``."""
+        model = GatedModel()
+        reference = ScriptedModel()
+        batcher = MicroBatcher(
+            lambda: model, max_batch=max_batch, max_wait=5.0
+        )
+        results = {}
+
+        def call(user):
+            def run():
+                results[user] = batcher.recommend(user, top_n=4)
+            return run
+
+        errors = run_behind_gate(
+            batcher, model.gate, call(0),
+            [call(u) for u in range(1, followers + 1)], lead_timeout=1.0,
+        )
+        assert not errors
+        assert model.batch_sizes == expected
+        for user in range(followers + 1):
+            np.testing.assert_array_equal(
+                results[user], reference.recommend(user, top_n=4)
+            )
+
     def test_batches_never_exceed_max_batch(self):
         model = ScriptedModel()
-        batcher = MicroBatcher(lambda: model, max_batch=4, max_wait=0.05)
+        batcher = MicroBatcher(lambda: model, max_batch=4)
 
         def call(user):
             def run():
@@ -135,22 +241,22 @@ class TestFlushBounds:
         assert max(model.batch_sizes) <= 4
 
     def test_concurrent_callers_actually_coalesce(self):
-        """Under a generous wait window, simultaneous callers must end
-        up sharing scoring calls (fewer flushes than requests)."""
-        model = ScriptedModel()
+        """Callers that queue behind a running batch share scoring
+        calls (fewer flushes than requests)."""
+        model = GatedModel()
         counters = CounterRegistry()
-        batcher = MicroBatcher(
-            lambda: model, max_batch=8, max_wait=0.05, counters=counters
-        )
+        batcher = MicroBatcher(lambda: model, max_batch=8, counters=counters)
 
         def call(user):
             def run():
                 batcher.recommend(user, top_n=2)
             return run
 
-        assert not run_concurrently([call(u) for u in range(8)])
+        assert not run_behind_gate(
+            batcher, model.gate, call(0), [call(u) for u in range(1, 8)]
+        )
         assert counters.get("serve.batch.requests") == 8
-        assert counters.get("serve.batch.flushes") < 8
+        assert counters.get("serve.batch.flushes") == 2
 
     def test_validates_construction(self):
         with pytest.raises(ValueError):
@@ -169,7 +275,7 @@ class TestExclude:
         # A one-element array holding item 0 is falsy; a longer array
         # has no truth value at all.  Both must exclude exactly.
         model = ScriptedModel()
-        batcher = MicroBatcher(lambda: model, max_batch=1, max_wait=0.0)
+        batcher = MicroBatcher(lambda: model, max_batch=1)
         top_n = model.num_items  # the full ranking, so item 0 shows
         items = batcher.recommend(4, top_n=top_n, exclude=exclude)
         expected = model.recommend(4, top_n=top_n, exclude=set(exclude))
@@ -181,7 +287,7 @@ class TestExclude:
 class TestFailureFanout:
     def test_scoring_error_reaches_every_caller(self):
         model = ScriptedModel(fail_times=10**9)
-        batcher = MicroBatcher(lambda: model, max_batch=4, max_wait=0.01)
+        batcher = MicroBatcher(lambda: model, max_batch=4)
 
         def call(user):
             def run():
@@ -194,7 +300,7 @@ class TestFailureFanout:
 
     def test_batcher_recovers_after_a_failed_batch(self):
         model = ScriptedModel(fail_times=1)
-        batcher = MicroBatcher(lambda: model, max_batch=4, max_wait=0.005)
+        batcher = MicroBatcher(lambda: model, max_batch=4)
         with pytest.raises(RuntimeError):
             batcher.recommend(1, top_n=2)
         items = batcher.recommend(1, top_n=2)
@@ -204,9 +310,7 @@ class TestFailureFanout:
         """Hot reload between batches is honoured: the batcher scores
         with whatever the provider holds *now*."""
         slot = {"model": ScriptedModel()}
-        batcher = MicroBatcher(
-            lambda: slot["model"], max_batch=2, max_wait=0.001
-        )
+        batcher = MicroBatcher(lambda: slot["model"], max_batch=2)
         batcher.recommend(1, top_n=2)
         replacement = ScriptedModel()
         slot["model"] = replacement

@@ -307,7 +307,7 @@ class TestSharedModelConcurrency:
         pool = [
             RecommendationService(
                 provider,
-                batcher=MicroBatcher(provider.model, max_wait=0.001),
+                batcher=MicroBatcher(provider.model),
             )
             for _ in range(services)
         ]

@@ -26,18 +26,20 @@ from repro.serve import (
     StaticModelProvider,
 )
 
+from .test_batching import ScoringGate, run_behind_gate
+
 TOP_N = 20
 BATCH = 4
-#: Long enough that every round's callers join its first batch.
-BATCH_WAIT_S = 2.0
 
 
 class BatchRecorder:
-    """Delegates scoring to ``model`` and records each call's user count."""
+    """Delegates scoring to ``model``, records each call's user count,
+    and holds a call open while ``gate`` says so."""
 
     def __init__(self, model):
         self.model = model
         self.batch_sizes = []
+        self.gate = ScoringGate()
         self._lock = threading.Lock()
 
     def __getattr__(self, name):
@@ -46,6 +48,7 @@ class BatchRecorder:
     def all_scores(self, users):
         with self._lock:
             self.batch_sizes.append(len(users))
+        self.gate.pass_through()
         return self.model.all_scores(users)
 
 
@@ -72,32 +75,29 @@ def trained(small_dataset, small_split):
 
 
 def batched_rounds(num_users: int):
-    """Every user, in rounds of ``BATCH`` distinct users (the last one
-    topped up from the first), so every round flushes one full batch."""
+    """Every user, in rounds of ``BATCH + 1`` distinct users (the last
+    one topped up from the first): one lead plus one full batch."""
+    size = BATCH + 1
     users = list(range(num_users))
-    rounds = [users[i : i + BATCH] for i in range(0, num_users, BATCH)]
-    rounds[-1] += users[: BATCH - len(rounds[-1])]
+    rounds = [users[i : i + size] for i in range(0, num_users, size)]
+    rounds[-1] += users[: size - len(rounds[-1])]
     return rounds
 
 
-def answer_concurrently(recommend, users):
-    """Call ``recommend(user)`` for every user at once; ``{user: items}``."""
-    barrier = threading.Barrier(len(users))
-    results, errors = {}, []
+def answer_behind_gate(batcher, scorer, recommend, users):
+    """Score ``users[0]`` alone with its scoring held open, queue the
+    rest behind it so they flush as one batch; ``{user: answer}``."""
+    scorer.gate = ScoringGate()
+    results = {}
 
-    def run(user):
-        barrier.wait()
-        try:
+    def call(user):
+        def run():
             results[user] = recommend(user)
-        except Exception as exc:  # noqa: BLE001 - recorded for the assert
-            errors.append(exc)
+        return run
 
-    threads = [threading.Thread(target=run, args=(u,)) for u in users]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30.0)
-    assert not any(thread.is_alive() for thread in threads)
+    errors = run_behind_gate(
+        batcher, scorer.gate, call(users[0]), [call(u) for u in users[1:]]
+    )
     assert not errors, errors
     return results
 
@@ -105,12 +105,14 @@ def answer_concurrently(recommend, users):
 def test_batched_answers_equal_offline_ranking(trained):
     model, train_items, offline = trained
     scorer = BatchRecorder(model)
-    batcher = MicroBatcher(lambda: scorer, max_batch=BATCH, max_wait=BATCH_WAIT_S)
+    batcher = MicroBatcher(lambda: scorer, max_batch=BATCH)
     answered = 0
-    for users in batched_rounds(model.num_users):
+    rounds = batched_rounds(model.num_users)
+    for users in rounds:
         # MicroBatcher.recommend tests ``exclude`` for truth, so it takes
         # a set; the service converts the array itself.
-        results = answer_concurrently(
+        results = answer_behind_gate(
+            batcher, scorer,
             lambda u: batcher.recommend(
                 u, top_n=TOP_N, exclude=set(train_items[u].tolist())
             ),
@@ -122,7 +124,7 @@ def test_batched_answers_equal_offline_ranking(trained):
             )
             answered += 1
     assert answered >= model.num_users
-    assert set(scorer.batch_sizes) == {BATCH}, scorer.batch_sizes
+    assert scorer.batch_sizes == [1, BATCH] * len(rounds), scorer.batch_sizes
 
 
 def test_service_answers_equal_offline_ranking(trained):
@@ -141,12 +143,12 @@ def test_batched_service_answers_equal_offline_ranking(trained):
     model, train_items, offline = trained
     scorer = BatchRecorder(model)
     provider = StaticModelProvider(scorer)
-    service = RecommendationService(
-        provider,
-        batcher=MicroBatcher(provider.model, max_batch=BATCH, max_wait=BATCH_WAIT_S),
-    )
-    for users in batched_rounds(model.num_users):
-        results = answer_concurrently(
+    batcher = MicroBatcher(provider.model, max_batch=BATCH)
+    service = RecommendationService(provider, batcher=batcher)
+    rounds = batched_rounds(model.num_users)
+    for users in rounds:
+        results = answer_behind_gate(
+            batcher, scorer,
             lambda u: service.recommend(u, top_n=TOP_N, exclude=train_items[u]),
             users,
         )
@@ -155,4 +157,4 @@ def test_batched_service_answers_equal_offline_ranking(trained):
             np.testing.assert_array_equal(
                 results[user].items, offline[user], err_msg=f"user {user}"
             )
-    assert min(scorer.batch_sizes) >= 2, scorer.batch_sizes
+    assert scorer.batch_sizes == [1, BATCH] * len(rounds), scorer.batch_sizes
