@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -48,6 +47,10 @@ def paired_t_test(values_a: np.ndarray, values_b: np.ndarray) -> TTestResult:
     diff = values_a - values_b
     if np.allclose(diff, 0.0):
         return TTestResult(statistic=0.0, p_value=1.0, mean_difference=0.0)
+    # Deferred: scipy.stats roughly doubles the memory and time of
+    # ``import repro``, and only this call needs it.
+    from scipy import stats
+
     statistic, p_value = stats.ttest_rel(values_a, values_b)
     return TTestResult(
         statistic=float(statistic),

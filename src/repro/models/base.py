@@ -18,7 +18,10 @@ One cache holds the ``propagate()`` result, and every reader above
 until an optimizer step, :meth:`~repro.nn.Module.load_state_dict`, a
 ``begin_step()`` call, or a change of the calling thread's grad mode.
 Code that writes parameter ``.data`` directly, or rebuilds a graph that
-``propagate()`` reads, must call ``begin_step()`` afterwards.
+``propagate()`` reads, must call ``begin_step()`` afterwards.  A backward
+releases the graph it consumed, so a cached grad-mode entry that a
+backward already went through raises at the next backward instead of
+feeding it; the trainers call ``begin_step()`` before every step.
 """
 
 from __future__ import annotations
@@ -102,7 +105,13 @@ class Recommender(Module):
 
     def begin_step(self) -> None:
         """Drop the cached propagation.  Called before each training
-        step, so one step's graph never feeds the next step's backward."""
+        step, so every step's loss is built on a fresh graph.
+
+        A backward releases the graph it consumed (one backward per
+        graph), so without this call a second backward through the
+        cached grad-mode entry raises :class:`RuntimeError` rather than
+        feeding the released graph a second time.
+        """
         self._cache = None
 
     # ------------------------------------------------------------------

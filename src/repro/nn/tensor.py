@@ -10,7 +10,15 @@ The design mirrors the classic tape-based approach:
 - each operation returns a new :class:`Tensor` holding references to its
   parent tensors and a closure computing the local vector-Jacobian product;
 - :meth:`Tensor.backward` topologically sorts the graph and runs the
-  closures in reverse order, accumulating into ``.grad``.
+  closures in reverse order, accumulating into the ``.grad`` of every
+  reachable leaf.
+
+As in PyTorch's default, a graph supports one backward: each non-leaf
+node is released once its closure has run (its closure, parents and
+``.grad`` are dropped; its ``.data`` stays), so neither a consumed tape
+nor non-leaf gradients outlive the call.  A later backward that reaches
+a released node raises :class:`RuntimeError`; rebuild the forward pass
+to backpropagate again.
 
 Broadcasting follows NumPy semantics; gradients of broadcast operands are
 reduced back to the operand's shape by :func:`unbroadcast`.
@@ -174,9 +182,21 @@ def _op_name(backward: Optional[Callable]) -> str:
     """
     if backward is None:
         return "<leaf>"
-    qualname = getattr(backward, "__qualname__", "")
-    op = qualname.split(".<locals>", 1)[0]
-    return op or "<op>"
+    return _op_from_qualname(getattr(backward, "__qualname__", ""))
+
+
+def _op_from_qualname(qualname: str) -> str:
+    return qualname.split(".<locals>", 1)[0] or "<op>"
+
+
+def _released_error(node: "Tensor") -> RuntimeError:
+    return RuntimeError(
+        f"backward() reached a node built by "
+        f"'{_op_from_qualname(node._released)}' (shape {node.shape}) whose "
+        "graph an earlier backward() already consumed and released; a "
+        "graph supports one backward, so rebuild the forward pass to "
+        "backpropagate again"
+    )
 
 
 def _describe_nonfinite(array: np.ndarray) -> str:
@@ -302,7 +322,9 @@ def _as_array(value: ArrayLike) -> np.ndarray:
 class Tensor:
     """A NumPy-backed tensor participating in reverse-mode autodiff."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = (
+        "data", "grad", "requires_grad", "_backward", "_parents", "_released"
+    )
 
     def __init__(
         self,
@@ -316,6 +338,9 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
+        # Qualname of the released closure once a backward consumed this
+        # node; None while the node is live (and always for leaves).
+        self._released: Optional[str] = None
 
     # ------------------------------------------------------------------
     # introspection helpers
@@ -404,6 +429,15 @@ class Tensor:
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
         """Backpropagate from this tensor through the recorded graph.
 
+        Gradients accumulate into the ``.grad`` of every reachable leaf
+        (a tensor without parents, e.g. a parameter).  As in PyTorch's
+        default, the graph is consumed: each non-leaf node drops its
+        closure, parents and ``.grad`` as soon as its closure has run,
+        and keeps only ``.data`` (so ``loss.item()`` still works).  One
+        backward per graph: if the graph reaches a node an earlier
+        backward released, :class:`RuntimeError` is raised before any
+        gradient is written; rebuild the forward pass instead.
+
         Args:
             grad: Seed gradient.  Defaults to ``1.0`` which requires the
                 tensor to be scalar-valued.
@@ -433,6 +467,8 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._released is not None:
+                raise _released_error(node)
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
@@ -440,11 +476,21 @@ class Tensor:
                     stack.append((parent, False))
 
         self._accumulate(grad)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # Popping drops the list's reference too, so a node's buffers
+        # are freed as soon as nothing downstream needs them.
+        while topo:
+            node = topo.pop()
+            backward = node._backward
+            if backward is None:
+                continue
+            if node.grad is not None:
+                backward(node.grad)
                 if _modes.anomaly:
                     _check_backward(node)
+            node._released = getattr(backward, "__qualname__", "")
+            node._backward = None
+            node._parents = ()
+            node.grad = None
 
     # ------------------------------------------------------------------
     # arithmetic

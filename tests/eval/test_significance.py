@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.eval import TTestResult, paired_t_test
 
 
@@ -50,3 +56,18 @@ class TestPairedTTest:
         ref_stat, ref_p = stats.ttest_rel(a, b)
         assert ours.statistic == pytest.approx(ref_stat)
         assert ours.p_value == pytest.approx(ref_p)
+
+
+def test_import_repro_does_not_load_scipy_stats():
+    # scipy.stats is only needed inside paired_t_test; importing it with
+    # the package roughly doubled the memory and time of ``import repro``.
+    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

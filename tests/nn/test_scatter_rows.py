@@ -147,10 +147,14 @@ class TestGetitemGradients:
         seeds = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
 
         def grad(split):
+            # One backward over both parts: a graph supports one backward,
+            # and LightGCN's loss reaches both halves through one scalar.
             table = Tensor(data.copy(), requires_grad=True)
             full = table * 1.0
-            for part, seed in zip(split(full), seeds):
-                part.backward(seed)
+            first, second = (
+                (part * seed).sum() for part, seed in zip(split(full), seeds)
+            )
+            (first + second).backward()
             return table.grad
 
         _same_bits(
